@@ -24,12 +24,6 @@ const MaxDistance = 2.0
 // Func computes the distance between two leaf values, in [0, 2].
 type Func func(a, b string) float64
 
-// TokenFunc computes the distance between two pre-tokenized values, in
-// [0, 2]. Comparers that operate on word slices can expose this form so
-// callers may tokenize each value once and reuse the tokens across many
-// pairwise comparisons (the matcher's token cache does exactly that).
-type TokenFunc func(wa, wb []string) float64
-
 // Exact returns 0 when the values are byte-identical and MaxDistance
 // otherwise. It models keyed domains where only exact matches count.
 func Exact(a, b string) float64 {
@@ -52,9 +46,8 @@ func WordLCS(a, b string) float64 {
 	return WordSliceLCS(wa, wb)
 }
 
-// WordSliceLCS is the TokenFunc form of WordLCS: the same distance over
-// values already split into words. WordLCS(a, b) ==
-// WordSliceLCS(Words(a), Words(b)) for all inputs.
+// WordSliceLCS is WordLCS over values already split into words:
+// WordLCS(a, b) == WordSliceLCS(Words(a), Words(b)) for all inputs.
 func WordSliceLCS(wa, wb []string) float64 {
 	if len(wa) == 0 && len(wb) == 0 {
 		return 0
@@ -62,39 +55,13 @@ func WordSliceLCS(wa, wb []string) float64 {
 	if len(wa) == 0 || len(wb) == 0 {
 		return MaxDistance
 	}
-	common := lcs.LengthStrings(wa, wb)
+	common := lcs.Length(wa, wb)
 	unmatched := float64(len(wa) + len(wb) - 2*common)
 	maxLen := len(wa)
 	if len(wb) > maxLen {
 		maxLen = len(wb)
 	}
 	return unmatched / float64(maxLen)
-}
-
-// WordSliceLCSWithin reports whether WordSliceLCS(wa, wb) ≤ limit,
-// without always computing the full distance. The word-LCS distance is
-// D / max(len(wa), len(wb)) where D = len(wa) + len(wb) − 2·|LCS| is
-// exactly Myers' edit distance, so the LCS search can stop as soon as D
-// provably exceeds limit·max — O((n+m)·limit·max) work instead of the
-// O((n+m)·D) of a full computation, a large saving on the dissimilar
-// pairs that dominate matching. It agrees with WordSliceLCS(wa, wb) ≤
-// limit for every input and every limit in [0, 2].
-func WordSliceLCSWithin(wa, wb []string, limit float64) bool {
-	if len(wa) == 0 && len(wb) == 0 {
-		return limit >= 0
-	}
-	if len(wa) == 0 || len(wb) == 0 {
-		return MaxDistance <= limit
-	}
-	maxLen := len(wa)
-	if len(wb) > maxLen {
-		maxLen = len(wb)
-	}
-	// D ≤ limit·maxLen, with a nudge so exact threshold products that
-	// round just below an integer still admit it (D is integral).
-	maxD := int(limit*float64(maxLen) + 1e-9)
-	_, ok := lcs.DistanceWithin(len(wa), len(wb), maxD, func(i, j int) bool { return wa[i] == wb[j] })
-	return ok
 }
 
 // FoldedWordLCS is WordLCS with case folding and punctuation stripping,

@@ -1,6 +1,7 @@
 package latex_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,24 +66,59 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzSplitSentences pins SplitSentences byte for byte to the reference
+// splitter below: strings.Fields, then strings.Join of each sentence's
+// words, with the abbreviation guard applied to strings.ToLower of the
+// candidate. The seeds cover Unicode white space the ASCII fast path must
+// not miss (U+0085, U+00A0, U+2003), invalid UTF-8, and words whose
+// Unicode lower-casing differs from ASCII folding.
 func FuzzSplitSentences(f *testing.F) {
-	for _, s := range []string{"", "One. Two!", "e.g. kept", "a?b", "trailing"} {
+	for _, s := range []string{"", "One. Two!", "e.g. kept", "a?b", "trailing",
+		"One.\u0085Two. Three\u00a0four.\u2003Five.",
+		"bad \xff. bytes\xfe here. \xc3.",
+		"Mſ. Smith left. \u212A. Next. DR. Who. e.G. this. MRS. X.",
+		"  spaced   out.\tTabs\nand\r\nbreaks.  ",
+		"(Parenthesized end.) \"Quoted!\" Next?",
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		got := latex.SplitSentences(text)
-		// No words may be lost or invented.
-		var joined []string
-		for _, s := range got {
-			joined = append(joined, s)
-		}
-		wantWords := len(strings.Fields(text))
-		gotWords := 0
-		for _, s := range joined {
-			gotWords += len(strings.Fields(s))
-		}
-		if wantWords != gotWords {
-			t.Fatalf("word count changed: %d -> %d for %q (%q)", wantWords, gotWords, text, got)
+		got, want := latex.SplitSentences(text), referenceSplit(text)
+		if !slices.Equal(got, want) {
+			t.Fatalf("SplitSentences(%q) = %q, want %q", text, got, want)
 		}
 	})
+}
+
+// referenceSplit is the straightforward form of SplitSentences.
+func referenceSplit(text string) []string {
+	var out, cur []string
+	for _, w := range strings.Fields(text) {
+		cur = append(cur, w)
+		if referenceSentenceEnd(w) {
+			out = append(out, strings.Join(cur, " "))
+			cur = nil
+		}
+	}
+	if len(cur) > 0 {
+		out = append(out, strings.Join(cur, " "))
+	}
+	return out
+}
+
+func referenceSentenceEnd(word string) bool {
+	w := strings.TrimRight(word, `)]}'"`)
+	if w == "" {
+		return false
+	}
+	switch w[len(w)-1] {
+	case '.', '!', '?':
+	default:
+		return false
+	}
+	switch strings.ToLower(strings.TrimRight(w, ".!?")) {
+	case "e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec":
+		return false
+	}
+	return true
 }

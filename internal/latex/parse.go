@@ -13,8 +13,11 @@ package latex
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/fault"
 	"ladiff/internal/gen"
 	"ladiff/internal/lderr"
@@ -249,27 +252,66 @@ func (p *parser) flushParagraph() {
 
 // SplitSentences splits prose into sentences on '.', '!', '?' followed by
 // whitespace or end of text, keeping the terminator with the sentence.
-// Whitespace is normalized to single spaces.
+// Whitespace is normalized to single spaces. Words are those of
+// strings.Fields. A sentence whose words are already separated by single
+// spaces is returned as a substring of text; only the others are built.
 func SplitSentences(text string) []string {
-	words := strings.Fields(text)
 	var out []string
-	var cur []string
-	for _, w := range words {
-		cur = append(cur, w)
-		if isSentenceEnd(w) {
-			out = append(out, strings.Join(cur, " "))
-			cur = nil
+	start, end := -1, 0 // span of the open sentence; start < 0 when none is open
+	clean := true       // every separator inside the open sentence is one ' '
+	for i := 0; ; {
+		ws, we := compare.NextWord(text, i)
+		if ws == we {
+			break
+		}
+		if start < 0 {
+			start, clean = ws, true
+		} else if ws != end+1 || text[end] != ' ' {
+			clean = false
+		}
+		end, i = we, we
+		if isSentenceEnd(text[ws:we]) {
+			out = append(out, sentence(text[start:end], clean))
+			start = -1
 		}
 	}
-	if len(cur) > 0 {
-		out = append(out, strings.Join(cur, " "))
+	if start >= 0 {
+		out = append(out, sentence(text[start:end], clean))
 	}
 	return out
 }
 
+// sentence returns span, which starts and ends with a word, with its
+// words joined by single spaces.
+func sentence(span string, clean bool) string {
+	if clean {
+		return span
+	}
+	var b strings.Builder
+	b.Grow(len(span))
+	for i := 0; ; {
+		ws, we := compare.NextWord(span, i)
+		if ws == we {
+			return b.String()
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(span[ws:we])
+		i = we
+	}
+}
+
+// abbreviations are the lower-cased shorthands whose period does not end
+// a sentence.
+var abbreviations = []string{"e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec"}
+
 func isSentenceEnd(word string) bool {
 	// Strip closing punctuation that may follow the terminator.
-	w := strings.TrimRight(word, `)]}'"`)
+	w := word
+	for len(w) > 0 && strings.IndexByte(`)]}'"`, w[len(w)-1]) >= 0 {
+		w = w[:len(w)-1]
+	}
 	if w == "" {
 		return false
 	}
@@ -280,11 +322,42 @@ func isSentenceEnd(word string) bool {
 	}
 	// Common abbreviation guard: a single letter or known shorthand
 	// before the period does not end a sentence ("e.g.", "i.e.", "Dr.").
-	trimmed := strings.TrimRight(w, ".!?")
-	lower := strings.ToLower(trimmed)
-	switch lower {
-	case "e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec":
-		return false
+	for len(w) > 0 && strings.IndexByte(".!?", w[len(w)-1]) >= 0 {
+		w = w[:len(w)-1]
+	}
+	return !isAbbreviation(w)
+}
+
+// isAbbreviation reports whether strings.ToLower(s) is one of the
+// abbreviations. ASCII is lower-cased byte by byte as it is compared;
+// anything else goes through strings.ToLower, because Unicode case
+// mapping can change the byte length and must not be approximated
+// (U+212A KELVIN SIGN lower-cases to "k"; "ſ" does not fold to "s").
+func isAbbreviation(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return slices.Contains(abbreviations, strings.ToLower(s))
+		}
+	}
+	for _, a := range abbreviations {
+		if len(a) == len(s) && lowersTo(s, a) {
+			return true
+		}
+	}
+	return false
+}
+
+// lowersTo reports whether the ASCII string s lower-cases to lower, which
+// has the same length.
+func lowersTo(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
 	}
 	return true
 }

@@ -21,27 +21,33 @@ func randomBytes(rng *rand.Rand, n, alphabet int) []byte {
 
 // TestDistanceWithinExact cross-checks DistanceWithin against the DP
 // distance on random inputs, for caps below, at, and above the true
-// distance.
+// distance. Every search shares one scratch buffer that starts out full
+// of garbage, so a stale slot read by any round would show up here.
 func TestDistanceWithinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	buf := make([]int, 64)
+	for i := range buf {
+		buf[i] = 1 << 20
+	}
 	for trial := 0; trial < 300; trial++ {
 		a := randomBytes(rng, rng.Intn(20), 3)
 		b := randomBytes(rng, rng.Intn(20), 3)
 		want := referenceDistance(a, b)
-		eq := func(i, j int) bool { return a[i] == b[j] }
 		for _, maxD := range []int{0, want - 1, want, want + 1, len(a) + len(b)} {
 			if maxD < 0 {
 				continue
 			}
-			d, ok := DistanceWithin(len(a), len(b), maxD, eq)
-			if want <= maxD {
-				if !ok || d != want {
-					t.Fatalf("DistanceWithin(%q, %q, maxD=%d) = (%d, %v), want (%d, true)",
-						a, b, maxD, d, ok, want)
+			for _, scratch := range []*[]int{nil, &buf} {
+				d, ok := DistanceWithin(a, b, maxD, scratch)
+				if want <= maxD {
+					if !ok || d != want {
+						t.Fatalf("DistanceWithin(%q, %q, maxD=%d) = (%d, %v), want (%d, true)",
+							a, b, maxD, d, ok, want)
+					}
+				} else if ok {
+					t.Fatalf("DistanceWithin(%q, %q, maxD=%d) = (%d, true), want rejection (true distance %d)",
+						a, b, maxD, d, want)
 				}
-			} else if ok {
-				t.Fatalf("DistanceWithin(%q, %q, maxD=%d) = (%d, true), want rejection (true distance %d)",
-					a, b, maxD, d, want)
 			}
 		}
 	}
@@ -50,47 +56,45 @@ func TestDistanceWithinExact(t *testing.T) {
 // TestDistanceWithinEdgeCases exercises the empty-input and zero-cap
 // paths, including the maxD=0 window-sizing regression.
 func TestDistanceWithinEdgeCases(t *testing.T) {
-	eqNever := func(i, j int) bool { return false }
-	eqAlways := func(i, j int) bool { return true }
-
-	if d, ok := DistanceWithin(0, 0, 0, eqNever); !ok || d != 0 {
+	five, four := []byte("abcde"), []byte("abcd")
+	if d, ok := DistanceWithin([]byte{}, nil, 0, nil); !ok || d != 0 {
 		t.Errorf("empty vs empty: got (%d, %v), want (0, true)", d, ok)
 	}
-	if d, ok := DistanceWithin(0, 5, 5, eqNever); !ok || d != 5 {
+	if d, ok := DistanceWithin(nil, five, 5, nil); !ok || d != 5 {
 		t.Errorf("empty vs 5: got (%d, %v), want (5, true)", d, ok)
 	}
-	if _, ok := DistanceWithin(0, 5, 4, eqNever); ok {
+	if _, ok := DistanceWithin(nil, five, 4, nil); ok {
 		t.Error("empty vs 5 with cap 4: want rejection")
 	}
 	// maxD = 0 with equal sequences must succeed in round 0 (this used to
 	// index out of the v window before head-room was added).
-	if d, ok := DistanceWithin(4, 4, 0, eqAlways); !ok || d != 0 {
+	if d, ok := DistanceWithin(four, four, 0, nil); !ok || d != 0 {
 		t.Errorf("identical with cap 0: got (%d, %v), want (0, true)", d, ok)
 	}
-	if _, ok := DistanceWithin(4, 4, 0, eqNever); ok {
+	if _, ok := DistanceWithin(four, []byte("wxyz"), 0, nil); ok {
 		t.Error("disjoint with cap 0: want rejection")
 	}
 	// Length difference alone exceeds the cap: rejected before searching.
-	if _, ok := DistanceWithin(10, 3, 5, eqAlways); ok {
+	if _, ok := DistanceWithin([]byte("aaaaaaaaaa"), []byte("aaa"), 5, nil); ok {
 		t.Error("|n-m| = 7 > cap 5: want rejection")
 	}
 	// An over-large cap is clamped, not trusted.
-	if d, ok := DistanceWithin(2, 2, 1000, eqNever); !ok || d != 4 {
+	if d, ok := DistanceWithin([]byte("ab"), []byte("cd"), 1000, nil); !ok || d != 4 {
 		t.Errorf("disjoint with huge cap: got (%d, %v), want (4, true)", d, ok)
 	}
 }
 
-// TestLengthIndicesMatchesDP cross-checks the forward-only length pass
-// against the DP reference.
-func TestLengthIndicesMatchesDP(t *testing.T) {
+// TestLengthMatchesDP cross-checks the forward-only length pass against
+// the DP reference.
+func TestLengthMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		a := randomBytes(rng, rng.Intn(30), 4)
 		b := randomBytes(rng, rng.Intn(30), 4)
 		eq := func(i, j int) bool { return a[i] == b[j] }
 		want := len(IndicesDP(len(a), len(b), eq))
-		if got := LengthIndices(len(a), len(b), eq); got != want {
-			t.Fatalf("LengthIndices(%q, %q) = %d, want %d", a, b, got, want)
+		if got := Length(a, b); got != want {
+			t.Fatalf("Length(%q, %q) = %d, want %d", a, b, got, want)
 		}
 	}
 }
@@ -131,7 +135,7 @@ func TestIndicesLongSimilarInputs(t *testing.T) {
 // referenceDistanceLarge avoids the O(nm) DP for the long-input test by
 // using the (already cross-checked) forward pass.
 func referenceDistanceLarge(a, b []byte) int {
-	d, ok := DistanceWithin(len(a), len(b), len(a)+len(b), func(i, j int) bool { return a[i] == b[j] })
+	d, ok := DistanceWithin(a, b, len(a)+len(b), nil)
 	if !ok {
 		panic("unreachable")
 	}

@@ -7,7 +7,9 @@
 // standard UNIX diff — needs only equality comparisons (§7). A quadratic
 // dynamic-programming reference implementation is provided for
 // cross-checking in tests and for pathological inputs where D approaches
-// N.
+// N. The forward-only pass behind Length and DistanceWithin, which the
+// word-LCS comparer runs for every leaf compare, takes comparable slices
+// and compares elements with == instead of calling a predicate.
 package lcs
 
 // Pair couples an element of the first sequence with the element of the
@@ -35,36 +37,36 @@ func Pairs[A, B any](a []A, b []B, equal func(A, B) bool) []Pair[A, B] {
 	return out
 }
 
-// Length returns the length of an LCS of a and b under equal. It runs
-// the forward pass only — no trace, no backtracking — so it allocates
-// O(n+m) and is the right call when the matched pairs themselves are not
-// needed (e.g. the word-LCS distance of the sentence comparer, which the
-// matcher invokes thousands of times per run).
-func Length[A, B any](a []A, b []B, equal func(A, B) bool) int {
-	return LengthIndices(len(a), len(b), func(i, j int) bool { return equal(a[i], b[j]) })
-}
-
-// LengthIndices is the forward-only counterpart of Indices: it returns
-// just the LCS length of the index ranges [0,n) and [0,m) under the
-// positional equality predicate. Myers' relation D = n + m − 2·|LCS|
-// recovers the length from the first round that reaches (n,m).
-func LengthIndices(n, m int, equal func(i, j int) bool) int {
-	d, ok := DistanceWithin(n, m, n+m, equal)
+// Length returns the length of an LCS of a and b under ==. It runs the
+// forward pass only — no trace, no backtracking — so it allocates O(n+m)
+// and is the right call when the matched pairs themselves are not needed
+// (e.g. the word-LCS distance of the sentence comparer). Myers' relation
+// D = n + m − 2·|LCS| recovers the length from the first round that
+// reaches (n,m).
+func Length[T comparable](a, b []T) int {
+	d, ok := DistanceWithin(a, b, len(a)+len(b), nil)
 	if !ok {
 		// Unreachable: d = n+m always suffices.
 		panic("lcs: Myers search did not terminate")
 	}
-	return (n + m - d) / 2
+	return (len(a) + len(b) - d) / 2
 }
 
-// DistanceWithin runs the forward Myers search with the d-rounds capped
-// at maxD. It returns the edit distance D = n + m − 2·|LCS| and true when
-// D ≤ maxD, or (0, false) when the distance exceeds the cap — after only
-// O((n+m)·maxD) work instead of the O((n+m)·D) a full search would
-// spend. Callers that test a similarity threshold rather than needing
-// the exact distance (Matching Criterion 1 does exactly that) use the
-// cap to reject dissimilar pairs early.
-func DistanceWithin(n, m, maxD int, equal func(i, j int) bool) (int, bool) {
+// DistanceWithin runs the forward Myers search over a and b with the
+// d-rounds capped at maxD. It returns the edit distance
+// D = len(a) + len(b) − 2·|LCS| and true when D ≤ maxD, or (0, false)
+// when the distance exceeds the cap — after only O((n+m)·maxD) work
+// instead of the O((n+m)·D) a full search would spend. Callers that test
+// a similarity threshold rather than needing the exact distance
+// (Matching Criterion 1 does exactly that) use the cap to reject
+// dissimilar pairs early.
+//
+// buf, when non-nil, is a reusable diagonal array: it is grown as needed
+// and left holding the grown slice, so a caller running many searches
+// allocates only while the largest cap seen so far grows. Its contents
+// on entry do not matter.
+func DistanceWithin[T comparable](a, b []T, maxD int, buf *[]int) (int, bool) {
+	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		d := n + m
 		if d > maxD {
@@ -82,7 +84,17 @@ func DistanceWithin(n, m, maxD int, equal func(i, j int) bool) (int, bool) {
 	// One slot of head-room on each side: round d reads diagonals k±1
 	// for k ∈ [-d, d], so the window spans [-maxD−1, maxD+1].
 	offset := maxD + 1
-	v := make([]int, 2*maxD+3)
+	if buf == nil {
+		buf = new([]int)
+	}
+	if cap(*buf) < 2*maxD+3 {
+		*buf = make([]int, 2*maxD+3)
+	}
+	v := (*buf)[:2*maxD+3]
+	// Round 0 reads only diagonal 1; every later round reads only
+	// diagonals the previous round wrote, so no other slot needs
+	// clearing.
+	v[1+offset] = 0
 	for d := 0; d <= maxD; d++ {
 		for k := -d; k <= d; k += 2 {
 			var x int
@@ -92,7 +104,7 @@ func DistanceWithin(n, m, maxD int, equal func(i, j int) bool) (int, bool) {
 				x = v[k-1+offset] + 1 // move right (delete from a)
 			}
 			y := x - k
-			for x < n && y < m && equal(x, y) {
+			for x < n && y < m && a[x] == b[y] {
 				x++
 				y++
 			}
@@ -236,11 +248,4 @@ func IndicesDP(n, m int, equal func(i, j int) bool) []IndexPair {
 		}
 	}
 	return out
-}
-
-// LengthStrings returns the LCS length of two string slices under ==, a
-// convenience used by the word-level sentence comparer (§7). It uses the
-// forward-only pass of LengthIndices.
-func LengthStrings(a, b []string) int {
-	return LengthIndices(len(a), len(b), func(i, j int) bool { return a[i] == b[j] })
 }

@@ -123,7 +123,7 @@ func TestLengthAndPairsAgree(t *testing.T) {
 	a := strings.Fields("the quick brown fox jumps over the lazy dog")
 	b := strings.Fields("the brown dog jumps over the quick fox")
 	eq := func(x, y string) bool { return x == y }
-	if got, want := Length(a, b, eq), len(Pairs(a, b, eq)); got != want {
+	if got, want := Length(a, b), len(Pairs(a, b, eq)); got != want {
 		t.Fatalf("Length = %d, Pairs = %d", got, want)
 	}
 }
@@ -131,8 +131,8 @@ func TestLengthAndPairsAgree(t *testing.T) {
 func TestLengthStrings(t *testing.T) {
 	a := strings.Fields("a b c d")
 	b := strings.Fields("b c d e")
-	if got := LengthStrings(a, b); got != 3 {
-		t.Fatalf("LengthStrings = %d, want 3", got)
+	if got := Length(a, b); got != 3 {
+		t.Fatalf("Length = %d, want 3", got)
 	}
 }
 

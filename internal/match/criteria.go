@@ -29,27 +29,12 @@ const (
 // Options configures the matching algorithms.
 type Options struct {
 	// Compare measures leaf-value distance in [0,2]. Nil means the
-	// word-LCS sentence comparer LaDiff uses (§7).
+	// word-LCS sentence comparer LaDiff uses (§7), which the matcher
+	// evaluates on interned word IDs (compare.WordIDs): each value is
+	// tokenized once per run and every Criterion 1 test is a bounded
+	// Myers search over integers. A non-nil comparer is called on the
+	// two value strings for every leaf compare.
 	Compare compare.Func
-	// CompareTokens, when non-nil, is the token form of the comparer:
-	// the same distance over values pre-split by Tokenize. Supplying it
-	// lets the matcher tokenize each node's value once and reuse the
-	// tokens across every pairwise comparison, instead of re-splitting
-	// both strings on every call. When Compare is nil (the default
-	// word-LCS comparer), CompareTokens defaults to its token form
-	// compare.WordSliceLCS automatically; custom comparers opt in by
-	// setting both fields consistently.
-	CompareTokens compare.TokenFunc
-	// CompareTokensWithin, when non-nil, answers "is the token distance
-	// at most limit?" — potentially much cheaper than computing
-	// CompareTokens exactly, e.g. compare.WordSliceLCSWithin caps the
-	// underlying LCS search at the limit. It must agree with
-	// CompareTokens(wa, wb) ≤ limit on every input. Defaults alongside
-	// CompareTokens when Compare is nil.
-	CompareTokensWithin func(wa, wb []string, limit float64) bool
-	// Tokenize splits a value for CompareTokens. Nil means
-	// compare.Words (whitespace splitting).
-	Tokenize func(string) []string
 	// LeafThreshold is f in Matching Criterion 1: leaves may match only
 	// when Compare(v(x), v(y)) ≤ f. Zero means DefaultLeafThreshold;
 	// values must lie in [0,1].
@@ -90,10 +75,11 @@ type Options struct {
 	// counters) are bit-identical at every setting; only the effective
 	// work counters and wall-clock vary.
 	Parallelism int
-	// DisableMemo turns off the pair-equality memo layer, forcing every
-	// logical comparison to recompute. The matching and the logical
-	// r1/r2 counters are identical either way; the knob exists so tests
-	// and benchmarks can verify and measure exactly that.
+	// DisableMemo turns off the internal-pair equality memo, forcing
+	// every internal-node comparison to recompute common(). Leaf
+	// compares are never memoized. The matching and the logical r1/r2
+	// counters are identical either way; the knob exists so tests and
+	// benchmarks can verify and measure exactly that.
 	DisableMemo bool
 	// Ctx, when non-nil, bounds the run: the matchers poll it between
 	// label rounds and periodically inside the pairing loops (every
@@ -117,15 +103,6 @@ type Options struct {
 func (o Options) withDefaults() (Options, error) {
 	if o.Compare == nil {
 		o.Compare = compare.WordLCS
-		if o.CompareTokens == nil {
-			o.CompareTokens = compare.WordSliceLCS
-			if o.CompareTokensWithin == nil {
-				o.CompareTokensWithin = compare.WordSliceLCSWithin
-			}
-		}
-	}
-	if o.CompareTokens != nil && o.Tokenize == nil {
-		o.Tokenize = compare.Words
 	}
 	if o.LeafThreshold == 0 {
 		o.LeafThreshold = DefaultLeafThreshold
@@ -158,12 +135,12 @@ func (o Options) withDefaults() (Options, error) {
 //
 // r1 and r2 count *logical* comparisons — what the algorithms of Figures
 // 10–11 perform — so Figure 13(b) regeneration is independent of the
-// engine's shortcuts. The memo layer and the Euler interval index let the
-// engine answer many of those comparisons without redoing the work; the
-// Effective* counters record the work that actually ran, and the memo-hit
-// counters the answers served from cache. Logical counters are identical
-// across memoized/unmemoized and sequential/parallel runs; effective
-// counters are where the savings show.
+// engine's shortcuts. The internal-pair memo and the Euler interval index
+// let the engine answer many of those comparisons without redoing the
+// work; the Effective* counters record the work that actually ran, and
+// the memo-hit counters the answers served from cache. Logical counters
+// are identical across memoized/unmemoized and sequential/parallel runs;
+// effective counters are where the savings show.
 type Stats struct {
 	// LeafCompares is r1: how many times the compare function logically
 	// ran (leaf-pair and empty-container value comparisons).
@@ -171,15 +148,14 @@ type Stats struct {
 	// PartnerChecks is r2: how many containment/partner lookups the
 	// internal-node equality evaluation logically performed.
 	PartnerChecks int64
-	// EffectiveLeafCompares counts compare-function invocations that
-	// actually executed (memo misses). LeafCompares −
-	// EffectiveLeafCompares is the work saved by the leaf memo.
+	// EffectiveLeafCompares counts leaf compares that actually executed.
+	// Leaf compares are not memoized, so it always equals LeafCompares.
 	EffectiveLeafCompares int64
 	// EffectivePartnerChecks counts partner lookups and interval tests
 	// that actually executed inside common().
 	EffectivePartnerChecks int64
-	// LeafMemoHits counts leaf-pair equality answers served from the
-	// memo without invoking the comparer.
+	// LeafMemoHits is always 0: leaf compares are not memoized. The
+	// field stays for the reports and benchmarks that read it.
 	LeafMemoHits int64
 	// InternalMemoHits counts internal-pair equality answers served from
 	// the memo without re-running common().
@@ -221,8 +197,8 @@ func (s *Stats) EffectiveTotal() int64 {
 	return s.EffectiveLeafCompares + s.EffectivePartnerChecks
 }
 
-// pairKey identifies one (old node, new node) comparison in the memo
-// maps.
+// pairKey identifies one (old node, new node) comparison in the
+// internal-pair memo.
 type pairKey struct {
 	old, new tree.NodeID
 }
@@ -248,12 +224,12 @@ type matcher struct {
 	// here while m serves as the read-only base matching shared by all
 	// of the round's workers. See parallel.go.
 	local *Matching
-	// words1/words2 cache Tokenize(value) per node per tree.
-	words1, words2 map[tree.NodeID][]string
-	// leafMemo caches value-rule equality per pair. Value equality
-	// depends only on the two values and the thresholds, never on the
-	// matching, so entries stay valid for the whole run.
-	leafMemo map[pairKey]bool
+	// words interns the words of compared values and runs the
+	// Criterion 1 kernel; nil when Options.Compare is a custom comparer,
+	// which then sees the value strings. ids1/ids2 cache each node's
+	// word IDs per tree.
+	words      *compare.WordIDs
+	ids1, ids2 map[tree.NodeID][]uint32
 	// internalMemo caches internal-rule equality per pair, valid while
 	// leafEpoch is unchanged.
 	internalMemo map[pairKey]internalMemoEntry
@@ -343,6 +319,7 @@ func (mr *matcher) runErr() error {
 }
 
 func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
+	wordLCS := opts.Compare == nil
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -354,10 +331,10 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		t1: t1, t2: t2,
 		idx1: t1.Index(), idx2: t2.Index(),
 		opts: opts, m: NewMatching(),
-		words1:       make(map[tree.NodeID][]string),
-		words2:       make(map[tree.NodeID][]string),
-		leafMemo:     make(map[pairKey]bool),
 		internalMemo: make(map[pairKey]internalMemoEntry),
+	}
+	if wordLCS {
+		mr.initWords()
 	}
 	if opts.WorkBudget > 0 {
 		mr.budget = &atomic.Int64{}
@@ -419,53 +396,41 @@ func (mr *matcher) removeOld(x tree.NodeID) {
 	mr.m.Remove(x)
 }
 
-// valueWithinThreshold evaluates compare(v(x), v(y)) ≤ f through the
-// cheapest available comparer form: the thresholded token comparer (which
-// can stop early), the exact token comparer (which reuses cached tokens),
-// or the plain string comparer.
-func (mr *matcher) valueWithinThreshold(x, y *tree.Node) bool {
-	mr.opts.Stats.EffectiveLeafCompares++
-	switch {
-	case mr.opts.CompareTokensWithin != nil:
-		return mr.opts.CompareTokensWithin(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
-	case mr.opts.CompareTokens != nil:
-		return mr.opts.CompareTokens(mr.tokens(x, true), mr.tokens(y, false)) <= mr.opts.LeafThreshold
-	default:
-		return mr.opts.Compare(x.Value(), y.Value()) <= mr.opts.LeafThreshold
-	}
+// initWords gives the matcher its own word interner and ID caches.
+func (mr *matcher) initWords() {
+	mr.words = &compare.WordIDs{}
+	mr.ids1 = make(map[tree.NodeID][]uint32)
+	mr.ids2 = make(map[tree.NodeID][]uint32)
 }
 
-// tokens returns the cached token slice for n's value.
-func (mr *matcher) tokens(n *tree.Node, inOld bool) []string {
-	cache := mr.words2
+// wordIDs returns n's value as word IDs, tokenizing it on first use.
+func (mr *matcher) wordIDs(n *tree.Node, inOld bool) []uint32 {
+	cache := mr.ids2
 	if inOld {
-		cache = mr.words1
+		cache = mr.ids1
 	}
-	if w, ok := cache[n.ID()]; ok {
-		return w
+	ids, ok := cache[n.ID()]
+	if !ok {
+		ids = mr.words.Tokenize(n.Value())
+		cache[n.ID()] = ids
 	}
-	w := mr.opts.Tokenize(n.Value())
-	cache[n.ID()] = w
-	return w
+	return ids
 }
 
 // leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
-// charging exactly one logical leaf compare (r1) whether or not the memo
-// answers it.
+// charging one logical leaf compare (r1). Byte-identical values are at
+// distance 0 without tokenizing either.
 func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	mr.opts.Stats.LeafCompares++
+	mr.opts.Stats.EffectiveLeafCompares++
 	mr.charge(1)
-	if mr.opts.DisableMemo {
-		return mr.valueWithinThreshold(x, y)
+	if mr.words == nil {
+		return mr.opts.Compare(x.Value(), y.Value()) <= mr.opts.LeafThreshold
 	}
-	k := pairKey{old: x.ID(), new: y.ID()}
-	if res, ok := mr.leafMemo[k]; ok {
-		mr.opts.Stats.LeafMemoHits++
-		return res
+	if x.Value() == y.Value() {
+		return true
 	}
-	res := mr.valueWithinThreshold(x, y)
-	mr.leafMemo[k] = res
-	return res
+	return mr.words.Within(mr.wordIDs(x, true), mr.wordIDs(y, false), mr.opts.LeafThreshold)
 }
 
 // equalLeaves is the leaf equality of §5.2: same label and

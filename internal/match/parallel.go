@@ -98,23 +98,25 @@ func (mr *matcher) runGroupParallel(group []tree.Label, process func(*matcher, t
 
 // fork returns a worker matcher that shares the trees, indexes, base
 // matching (read-only), and the run's work budget, and writes new pairs
-// to a private overlay. Memo maps, token caches, and stats are
-// worker-private so no state is shared mutably across goroutines.
+// to a private overlay. The memo, the word interner with its ID caches,
+// and stats are worker-private so no state is shared mutably across
+// goroutines.
 func (mr *matcher) fork() *matcher {
 	opts := mr.opts
 	opts.Stats = &Stats{}
-	return &matcher{
+	sub := &matcher{
 		t1: mr.t1, t2: mr.t2,
 		idx1: mr.idx1, idx2: mr.idx2,
 		opts:         opts,
 		m:            mr.m,
 		local:        NewMatching(),
-		words1:       make(map[tree.NodeID][]string),
-		words2:       make(map[tree.NodeID][]string),
-		leafMemo:     make(map[pairKey]bool),
 		internalMemo: make(map[pairKey]internalMemoEntry),
 		budget:       mr.budget,
 	}
+	if mr.words != nil {
+		sub.initWords()
+	}
+	return sub
 }
 
 // absorb merges a completed worker's overlay pairs and stats into the

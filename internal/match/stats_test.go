@@ -3,8 +3,10 @@ package match_test
 import (
 	"testing"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/gen"
 	. "ladiff/internal/match"
+	"ladiff/internal/tree"
 )
 
 // TestStatsRegressionFixedPair pins the logical comparison counters on a
@@ -71,5 +73,46 @@ func TestStatsRegressionFixedPair(t *testing.T) {
 					stats.EffectivePartnerChecks, stats.PartnerChecks)
 			}
 		})
+	}
+}
+
+// TestWordIDKernelMatchesStringComparer runs every gen class twice: with
+// the default comparer, which the matcher evaluates on interned word IDs,
+// and with compare.WordLCS passed explicitly, which takes the string
+// path of a custom comparer. Both must return the same matching with the
+// same logical counters, under Match and FastMatch, sequential and
+// parallel.
+func TestWordIDKernelMatchesStringComparer(t *testing.T) {
+	for _, c := range gen.Classes() {
+		doc := c.Doc
+		doc.Seed = 7
+		old := gen.Document(doc)
+		pert, err := gen.Perturb(old, c.Pert(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []struct {
+			name string
+			run  func(*tree.Tree, *tree.Tree, Options) (*Matching, error)
+		}{{"Match", Match}, {"FastMatch", FastMatch}} {
+			for _, par := range []int{1, 2} {
+				ids, str := &Stats{}, &Stats{}
+				got, err := algo.run(old, pert.New, Options{Parallelism: par, Stats: ids})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := algo.run(old, pert.New, Options{Parallelism: par, Stats: str, Compare: compare.WordLCS})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !pairsEqual(got, want) {
+					t.Errorf("%s/%s/P=%d: word-ID matching differs from the string comparer's", c.Name, algo.name, par)
+				}
+				if ids.LeafCompares != str.LeafCompares || ids.PartnerChecks != str.PartnerChecks {
+					t.Errorf("%s/%s/P=%d: r1/r2 %d/%d, string comparer %d/%d", c.Name, algo.name, par,
+						ids.LeafCompares, ids.PartnerChecks, str.LeafCompares, str.PartnerChecks)
+				}
+			}
+		}
 	}
 }

@@ -47,7 +47,10 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 	defer t.Unrestrict()
 	t.SetRoot(gen.LabelDocument, "")
 	for _, block := range strings.Split(normalizeNewlines(src), "\n\n") {
-		sentences := latex.SplitSentences(block)
+		// SplitSentences may return substrings of its input. Cloning the
+		// block first keeps a surviving sentence (in a stored script or
+		// tree) from pinning the whole source document.
+		sentences := latex.SplitSentences(strings.Clone(block))
 		if len(sentences) == 0 {
 			continue
 		}

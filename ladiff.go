@@ -72,14 +72,18 @@ type (
 	// MatchOptions configures the Good Matching criteria (§5) and the
 	// matching engine: Parallelism bounds the worker pool for
 	// independent label rounds (0 means GOMAXPROCS, 1 forces
-	// sequential), DisableMemo turns off the comparison memo for A/B
-	// measurement. Both knobs are behaviour-preserving — every
-	// configuration returns the identical matching.
+	// sequential), DisableMemo turns off the internal-pair comparison
+	// memo for A/B measurement (leaf compares are never memoized). Both
+	// knobs are behaviour-preserving — every configuration returns the
+	// identical matching. A nil Compare selects the word-LCS comparer,
+	// run on interned word IDs; a custom Compare sees the value strings.
 	MatchOptions = match.Options
 	// MatchStats carries the §8 work counters: LeafCompares/
 	// PartnerChecks are the logical r1/r2 of Figure 13(b), invariant
 	// across engine configurations; the Effective* fields count the
-	// work that actually executed after memoization.
+	// work that actually executed after memoization. Only internal
+	// pairs are memoized, so EffectiveLeafCompares equals LeafCompares
+	// and LeafMemoHits is always 0.
 	MatchStats = match.Stats
 
 	// WorkStats counts Algorithm EditScript's abstract work (Result.Work):

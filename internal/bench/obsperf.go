@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ladiff/internal/core"
-	"ladiff/internal/match"
 	"ladiff/internal/obs"
 )
 
@@ -63,13 +62,13 @@ func CollectObsPerf(iters int) (*ObsPerfReport, error) {
 	measure := func(name string, setup func() (func(), *obs.Trace, context.Context)) (ObsPerfRun, error) {
 		run := ObsPerfRun{Name: name}
 		// Warm-up run, not timed (builds tree indexes, warms caches).
-		if _, err := core.Diff(oldT, newT, core.Options{Match: match.Options{Parallelism: 1}}); err != nil {
+		if _, err := core.Diff(oldT, newT, core.Options{}); err != nil {
 			return run, fmt.Errorf("bench: obsperf %s warm-up: %w", name, err)
 		}
 		times := make([]int64, iters)
 		for i := range times {
 			teardown, tr, ctx := setup()
-			opts := core.Options{Match: match.Options{Parallelism: 1}, Ctx: ctx}
+			opts := core.Options{Ctx: ctx}
 			start := time.Now()
 			res, err := core.Diff(oldT, newT, opts)
 			times[i] = time.Since(start).Nanoseconds()

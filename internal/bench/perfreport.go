@@ -1,9 +1,8 @@
 // Matching-engine performance evidence: the before/after record behind
-// the BENCH_matching.json artifact. The "after" runs are measured live on
-// the current engine in its interesting configurations; the "before" run
-// is the recorded seed-engine measurement (ancestor-climb common(), no
-// memo, no index), kept here because the seed code no longer exists in
-// the tree to be re-run.
+// the BENCH_matching.json artifact. The "after" run is measured live on
+// the current engine; the "before" run is the recorded seed-engine
+// measurement (ancestor-climb common(), no index), kept here because the
+// seed code no longer exists in the tree to be re-run.
 package bench
 
 import (
@@ -19,8 +18,8 @@ import (
 	"ladiff/internal/tree"
 )
 
-// MatchingPerfRun is one measured (or recorded) configuration of the
-// FastMatch stage benchmark on the medium document pair.
+// MatchingPerfRun is one measured (or recorded) run of the FastMatch
+// stage benchmark on the medium document pair.
 type MatchingPerfRun struct {
 	Name   string `json:"name"`
 	Config string `json:"config"`
@@ -28,26 +27,21 @@ type MatchingPerfRun struct {
 	NsPerOp int64 `json:"ns_per_op"`
 	// Pairs is the size of the returned matching.
 	Pairs int `json:"pairs"`
-	// R1/R2/Total are the logical Figure 13(b) counters.
-	R1    int64 `json:"r1_leaf_compares"`
-	R2    int64 `json:"r2_partner_checks"`
-	Total int64 `json:"total_compares"`
-	// Effective counters show what actually executed after memoization.
-	EffectiveLeafCompares  int64  `json:"effective_leaf_compares,omitempty"`
-	EffectivePartnerChecks int64  `json:"effective_partner_checks,omitempty"`
-	LeafMemoHits           int64  `json:"leaf_memo_hits,omitempty"`
-	InternalMemoHits       int64  `json:"internal_memo_hits,omitempty"`
-	Notes                  string `json:"notes,omitempty"`
+	// R1/R2/Total are the Figure 13(b) counters.
+	R1    int64  `json:"r1_leaf_compares"`
+	R2    int64  `json:"r2_partner_checks"`
+	Total int64  `json:"total_compares"`
+	Notes string `json:"notes,omitempty"`
 }
 
 // MatchingPerfReport is the full BENCH_matching.json payload.
 type MatchingPerfReport struct {
-	Benchmark  string            `json:"benchmark"`
-	Pair       string            `json:"pair"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Before     MatchingPerfRun   `json:"before"`
-	After      []MatchingPerfRun `json:"after"`
-	SpeedupX   float64           `json:"speedup_x"`
+	Benchmark  string          `json:"benchmark"`
+	Pair       string          `json:"pair"`
+	GoMaxProcs int             `json:"gomaxprocs"`
+	Before     MatchingPerfRun `json:"before"`
+	After      MatchingPerfRun `json:"after"`
+	SpeedupX   float64         `json:"speedup_x"`
 }
 
 // SeedMatchingBaseline is the pre-change measurement of
@@ -79,10 +73,10 @@ func matchingPerfPair() (oldT, newT *tree.Tree, err error) {
 	return doc, pert.New, nil
 }
 
-// CollectMatchingPerf measures the current engine on the medium pair in
-// each configuration of interest and assembles the full report. iters is
-// the number of timed FastMatch calls per configuration (the median is
-// reported); values below 3 are raised to 3.
+// CollectMatchingPerf measures the current engine on the medium pair and
+// reports it against the recorded seed run. iters is the number of
+// timed FastMatch calls (the median is reported); values below 3 are
+// raised to 3.
 func CollectMatchingPerf(iters int) (*MatchingPerfReport, error) {
 	if iters < 3 {
 		iters = 3
@@ -91,57 +85,36 @@ func CollectMatchingPerf(iters int) (*MatchingPerfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	configs := []struct {
-		name, desc string
-		opts       match.Options
-	}{
-		{"indexed", "index + bounded LCS, memo off, sequential",
-			match.Options{DisableMemo: true, Parallelism: 1}},
-		{"indexed+memo", "index + bounded LCS + memo, sequential",
-			match.Options{Parallelism: 1}},
-		{"indexed+memo+parallel", "full engine, default parallelism (GOMAXPROCS)",
-			match.Options{}},
+	run := MatchingPerfRun{Name: "current", Config: "Euler index + bounded LCS on interned word IDs, sequential"}
+	// Warm-up run, not timed (builds tree indexes).
+	if _, err := match.FastMatch(oldT, newT, match.Options{}); err != nil {
+		return nil, fmt.Errorf("bench: matchperf: %w", err)
 	}
+	times := make([]int64, iters)
+	for i := range times {
+		stats := &match.Stats{}
+		start := time.Now()
+		m, err := match.FastMatch(oldT, newT, match.Options{Stats: stats})
+		times[i] = time.Since(start).Nanoseconds()
+		if err != nil {
+			return nil, fmt.Errorf("bench: matchperf: %w", err)
+		}
+		run.Pairs = m.Len()
+		run.R1 = stats.LeafCompares
+		run.R2 = stats.PartnerChecks
+		run.Total = stats.Total()
+	}
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	run.NsPerOp = times[len(times)/2]
 	report := &MatchingPerfReport{
 		Benchmark:  "BenchmarkStageFastMatch",
 		Pair:       "set-B(medium) ⊕ Mix(seed=42, ops=24)",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Before:     SeedMatchingBaseline,
+		After:      run,
 	}
-	for _, cfg := range configs {
-		run := MatchingPerfRun{Name: cfg.name, Config: cfg.desc}
-		// Warm-up run, not timed (builds tree indexes).
-		if _, err := match.FastMatch(oldT, newT, cfg.opts); err != nil {
-			return nil, fmt.Errorf("bench: matchperf %s: %w", cfg.name, err)
-		}
-		times := make([]int64, iters)
-		for i := range times {
-			stats := &match.Stats{}
-			opts := cfg.opts
-			opts.Stats = stats
-			start := time.Now()
-			m, err := match.FastMatch(oldT, newT, opts)
-			times[i] = time.Since(start).Nanoseconds()
-			if err != nil {
-				return nil, fmt.Errorf("bench: matchperf %s: %w", cfg.name, err)
-			}
-			run.Pairs = m.Len()
-			run.R1 = stats.LeafCompares
-			run.R2 = stats.PartnerChecks
-			run.Total = stats.Total()
-			run.EffectiveLeafCompares = stats.EffectiveLeafCompares
-			run.EffectivePartnerChecks = stats.EffectivePartnerChecks
-			run.LeafMemoHits = stats.LeafMemoHits
-			run.InternalMemoHits = stats.InternalMemoHits
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		run.NsPerOp = times[len(times)/2]
-		report.After = append(report.After, run)
-	}
-	best := report.After[len(report.After)-1].NsPerOp
-	if best > 0 {
-		report.SpeedupX = float64(report.Before.NsPerOp) / float64(best)
+	if run.NsPerOp > 0 {
+		report.SpeedupX = float64(report.Before.NsPerOp) / float64(run.NsPerOp)
 	}
 	return report, nil
 }

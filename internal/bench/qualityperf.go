@@ -151,7 +151,7 @@ func CollectQualityPerf(reps int, sections []int) (*QualityPerfReport, error) {
 			dp.Seed = 1501
 		}
 		doc := gen.Document(dp)
-		pert, err := gen.Perturb(doc, c.Pert(dp.Seed + 1))
+		pert, err := gen.Perturb(doc, c.Pert(dp.Seed+1))
 		if err != nil {
 			return nil, fmt.Errorf("bench: qualityperf %s: %w", c.Name, err)
 		}

@@ -17,7 +17,7 @@ type Class struct {
 // Classes returns the standard workload classes. The first six are the
 // battery classes: document shape and duplicate pressure crossed with
 // the perturbation mixes, each stressing a different phase (wide
-// sibling lists the generator, near-duplicates the matcher memo,
+// sibling lists the generator, near-duplicates the leaf comparer,
 // move-heavy the alignment pass). The last, sparse-1pct, is the
 // fingerprint ladder's home turf: a large document of long sentences
 // where roughly 1% of them change between versions, so almost every

@@ -30,6 +30,7 @@ func Criterion3Violations(t1, t2 *tree.Tree, opts Options) (oldIDs, newIDs []tre
 	l1, l2 := byLabel(t1), byLabel(t2)
 	within1 := func(a, b *tree.Node) bool {
 		mr.opts.Stats.LeafCompares++
+		mr.opts.Stats.EffectiveLeafCompares++
 		return mr.opts.Compare(a.Value(), b.Value()) <= 1
 	}
 	for label, xs := range l1 {

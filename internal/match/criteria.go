@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ladiff/internal/compare"
 	"ladiff/internal/lderr"
@@ -69,18 +67,6 @@ type Options struct {
 	// Stats, when non-nil, accumulates the work counters of the §8
 	// empirical study.
 	Stats *Stats
-	// Parallelism bounds the worker pool used to process independent
-	// same-rank label rounds concurrently. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces fully sequential rounds. Results (and the logical r1/r2
-	// counters) are bit-identical at every setting; only the effective
-	// work counters and wall-clock vary.
-	Parallelism int
-	// DisableMemo turns off the internal-pair equality memo, forcing
-	// every internal-node comparison to recompute common(). Leaf
-	// compares are never memoized. The matching and the logical r1/r2
-	// counters are identical either way; the knob exists so tests and
-	// benchmarks can verify and measure exactly that.
-	DisableMemo bool
 	// Ctx, when non-nil, bounds the run: the matchers poll it between
 	// label rounds and periodically inside the pairing loops (every
 	// ctxPollStride equality evaluations), and return ctx.Err() wrapped
@@ -89,14 +75,13 @@ type Options struct {
 	// yields a partial matching.
 	Ctx context.Context
 	// WorkBudget, when positive, bounds the run's logical work in the §8
-	// cost-model units (r1 + r2: leaf compares plus partner checks).
-	// Exhausting the budget aborts the run with an lderr.ErrDegraded-
-	// tagged error, which callers use to fall back to a cheaper matcher
-	// (core.Diff retries with FastMatch). The budget is shared across the
-	// parallel workers of a run, so the trip point under Parallelism > 1
-	// may land a few comparisons earlier or later than sequentially; a
-	// run that completes within budget is still bit-identical at every
-	// parallelism setting.
+	// cost-model units (r1 + r2: leaf compares plus partner checks,
+	// including the keyed pre-pass's lookups). Exhausting the budget
+	// aborts the run with an lderr.ErrDegraded-tagged error, which
+	// callers use to fall back to a cheaper matcher (core.Diff retries
+	// with FastMatch). The trip point is exact: a budget equal to an
+	// unbudgeted run's Stats.Total() completes with the identical
+	// matching, and one unit less degrades.
 	WorkBudget int64
 }
 
@@ -116,12 +101,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.InternalThreshold < 0.5 || o.InternalThreshold > 1 {
 		return o, fmt.Errorf("match: internal threshold t=%v outside [0.5,1]", o.InternalThreshold)
 	}
-	if o.Parallelism < 0 {
-		return o, fmt.Errorf("match: negative parallelism %d", o.Parallelism)
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if o.Stats == nil {
 		o.Stats = &Stats{}
 	}
@@ -133,14 +112,11 @@ func (o Options) withDefaults() (Options, error) {
 // invocations of the leaf compare function and r2 counts partner checks
 // (implemented, as in LaDiff, as integer comparisons).
 //
-// r1 and r2 count *logical* comparisons — what the algorithms of Figures
-// 10–11 perform — so Figure 13(b) regeneration is independent of the
-// engine's shortcuts. The internal-pair memo and the Euler interval index
-// let the engine answer many of those comparisons without redoing the
-// work; the Effective* counters record the work that actually ran, and
-// the memo-hit counters the answers served from cache. Logical counters
-// are identical across memoized/unmemoized and sequential/parallel runs;
-// effective counters are where the savings show.
+// r1 and r2 count the comparisons the algorithms of Figures 10–11
+// perform, so Figure 13(b) regeneration reads them directly. The engine
+// runs every one of them, so the Effective* counters equal their logical
+// counterparts and the memo-hit counters stay 0; those fields remain for
+// the reports and benchmarks that read them.
 type Stats struct {
 	// LeafCompares is r1: how many times the compare function logically
 	// ran (leaf-pair and empty-container value comparisons).
@@ -148,17 +124,15 @@ type Stats struct {
 	// PartnerChecks is r2: how many containment/partner lookups the
 	// internal-node equality evaluation logically performed.
 	PartnerChecks int64
-	// EffectiveLeafCompares counts leaf compares that actually executed.
-	// Leaf compares are not memoized, so it always equals LeafCompares.
+	// EffectiveLeafCompares counts leaf compares that executed; it
+	// always equals LeafCompares.
 	EffectiveLeafCompares int64
-	// EffectivePartnerChecks counts partner lookups and interval tests
-	// that actually executed inside common().
+	// EffectivePartnerChecks counts partner lookups that executed; it
+	// always equals PartnerChecks.
 	EffectivePartnerChecks int64
-	// LeafMemoHits is always 0: leaf compares are not memoized. The
-	// field stays for the reports and benchmarks that read it.
+	// LeafMemoHits is always 0: the matcher keeps no comparison memo.
 	LeafMemoHits int64
-	// InternalMemoHits counts internal-pair equality answers served from
-	// the memo without re-running common().
+	// InternalMemoHits is always 0: the matcher keeps no comparison memo.
 	InternalMemoHits int64
 	// PrunedSubtrees counts wholesale subtree claims committed by the
 	// fingerprint pruning pass (zero unless Options.PruneIdentical).
@@ -191,27 +165,9 @@ func (s *Stats) Add(other Stats) {
 // Total returns r1 + r2, the comparison count reported in Figure 13(b).
 func (s *Stats) Total() int64 { return s.LeafCompares + s.PartnerChecks }
 
-// EffectiveTotal returns the comparisons that actually executed after
-// memoization — the engine-level counterpart of Total.
+// EffectiveTotal returns the comparisons that executed; it equals Total.
 func (s *Stats) EffectiveTotal() int64 {
 	return s.EffectiveLeafCompares + s.EffectivePartnerChecks
-}
-
-// pairKey identifies one (old node, new node) comparison in the
-// internal-pair memo.
-type pairKey struct {
-	old, new tree.NodeID
-}
-
-// internalMemoEntry caches one internal-equality evaluation. The entry
-// is valid only while the leaf matching is unchanged (epoch equality):
-// common() depends on which leaves are matched, so any leaf pair added
-// or removed invalidates it. charged replays the logical r2 cost on a
-// hit, keeping the logical counters identical to an unmemoized run.
-type internalMemoEntry struct {
-	result  bool
-	charged int64
-	epoch   int64
 }
 
 // matcher carries the shared state of one matching run.
@@ -220,32 +176,22 @@ type matcher struct {
 	idx1, idx2 *tree.Index
 	opts       Options
 	m          *Matching
-	// local is non-nil in a parallel fork: newly discovered pairs go
-	// here while m serves as the read-only base matching shared by all
-	// of the round's workers. See parallel.go.
-	local *Matching
 	// words interns the words of compared values and runs the
 	// Criterion 1 kernel; nil when Options.Compare is a custom comparer,
 	// which then sees the value strings. ids1/ids2 cache each node's
 	// word IDs per tree.
 	words      *compare.WordIDs
 	ids1, ids2 map[tree.NodeID][]uint32
-	// internalMemo caches internal-rule equality per pair, valid while
-	// leafEpoch is unchanged.
-	internalMemo map[pairKey]internalMemoEntry
-	// leafEpoch counts leaf-pair additions and removals; bumping it
-	// invalidates internalMemo wholesale.
-	leafEpoch int64
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
 	// immediately, so the enclosing loops unwind fast.
 	ctxPolls int64
 	err      error
-	// budget is the remaining work budget in r1+r2 units, shared across
-	// the run's parallel forks; nil when Options.WorkBudget is unset.
-	// Going negative latches errBudget into err.
-	budget *atomic.Int64
+	// budget is the remaining work budget in r1+r2 units, meaningful
+	// only when Options.WorkBudget is set. Going negative latches
+	// errBudget into err.
+	budget int64
 }
 
 // ctxPollStride is how many equality evaluations elapse between context
@@ -293,19 +239,20 @@ func (mr *matcher) checkCtxNow() bool {
 // cheaper matcher" from cancellation.
 var errBudget = lderr.Degraded(errors.New("match: work budget exhausted"))
 
-// charge debits n work units from the shared budget, latching errBudget
-// when it runs out. No-op for unbudgeted runs.
+// charge debits n work units from the budget, latching errBudget when
+// it runs out. No-op for unbudgeted runs.
 func (mr *matcher) charge(n int64) {
-	if mr.budget == nil {
+	if mr.opts.WorkBudget <= 0 {
 		return
 	}
-	if mr.budget.Add(-n) < 0 && mr.err == nil {
+	mr.budget -= n
+	if mr.budget < 0 && mr.err == nil {
 		mr.err = errBudget
 	}
 }
 
 // runErr converts a latched abort into the error the public matchers
-// return: budget exhaustion and recovered worker panics pass through
+// return: budget exhaustion and recovered panics pass through
 // (already taxonomy-tagged), cancellation is wrapped and tagged.
 func (mr *matcher) runErr() error {
 	switch {
@@ -331,76 +278,22 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		t1: t1, t2: t2,
 		idx1: t1.Index(), idx2: t2.Index(),
 		opts: opts, m: NewMatching(),
-		internalMemo: make(map[pairKey]internalMemoEntry),
+		budget: opts.WorkBudget,
 	}
 	if wordLCS {
-		mr.initWords()
-	}
-	if opts.WorkBudget > 0 {
-		mr.budget = &atomic.Int64{}
-		mr.budget.Store(opts.WorkBudget)
+		mr.words = &compare.WordIDs{}
+		mr.ids1 = make(map[tree.NodeID][]uint32)
+		mr.ids2 = make(map[tree.NodeID][]uint32)
 	}
 	return mr, nil
 }
 
-// matchedOld reports whether old node x is matched, consulting the
-// fork-local overlay first (see parallel.go).
-func (mr *matcher) matchedOld(x tree.NodeID) bool {
-	if mr.local != nil && mr.local.MatchedOld(x) {
-		return true
-	}
-	return mr.m.MatchedOld(x)
-}
-
-// matchedNew reports whether new node y is matched.
-func (mr *matcher) matchedNew(y tree.NodeID) bool {
-	if mr.local != nil && mr.local.MatchedNew(y) {
-		return true
-	}
-	return mr.m.MatchedNew(y)
-}
-
-// partnerOfOld returns the partner of old node x, if any.
-func (mr *matcher) partnerOfOld(x tree.NodeID) (tree.NodeID, bool) {
-	if mr.local != nil {
-		if y, ok := mr.local.ToNew(x); ok {
-			return y, ok
-		}
-	}
-	return mr.m.ToNew(x)
-}
-
 // add records the pair (x, y), panicking on a one-to-one violation —
-// callers check both sides unmatched first. Adding a leaf pair bumps
-// leafEpoch, invalidating the internal-equality memo.
+// callers check both sides unmatched first.
 func (mr *matcher) add(x, y *tree.Node) {
-	target := mr.m
-	if mr.local != nil {
-		target = mr.local
-	}
-	if err := target.Add(x.ID(), y.ID()); err != nil {
+	if err := mr.m.Add(x.ID(), y.ID()); err != nil {
 		panic(err)
 	}
-	if x.IsLeaf() {
-		mr.leafEpoch++
-	}
-}
-
-// removeOld removes the pair involving old node x, if any, bumping
-// leafEpoch for leaf pairs. Only the post-processing pass removes pairs;
-// it never runs forked, so removal always targets the base matching.
-func (mr *matcher) removeOld(x tree.NodeID) {
-	if n := mr.t1.Node(x); n != nil && n.IsLeaf() {
-		mr.leafEpoch++
-	}
-	mr.m.Remove(x)
-}
-
-// initWords gives the matcher its own word interner and ID caches.
-func (mr *matcher) initWords() {
-	mr.words = &compare.WordIDs{}
-	mr.ids1 = make(map[tree.NodeID][]uint32)
-	mr.ids2 = make(map[tree.NodeID][]uint32)
 }
 
 // wordIDs returns n's value as word IDs, tokenizing it on first use.
@@ -462,21 +355,7 @@ func (mr *matcher) equalInternal(x, y *tree.Node) bool {
 	if maxLeaves == 0 {
 		return mr.leafValueEqual(x, y)
 	}
-	k := pairKey{old: x.ID(), new: y.ID()}
-	if !mr.opts.DisableMemo {
-		if e, ok := mr.internalMemo[k]; ok && e.epoch == mr.leafEpoch {
-			mr.opts.Stats.InternalMemoHits++
-			mr.opts.Stats.PartnerChecks += e.charged
-			mr.charge(e.charged)
-			return e.result
-		}
-	}
-	common, charged := mr.common(x, y)
-	res := float64(common)/float64(maxLeaves) > mr.opts.InternalThreshold
-	if !mr.opts.DisableMemo {
-		mr.internalMemo[k] = internalMemoEntry{result: res, charged: charged, epoch: mr.leafEpoch}
-	}
-	return res
+	return float64(mr.common(x, y))/float64(maxLeaves) > mr.opts.InternalThreshold
 }
 
 // common counts matched leaf pairs (w, z) with w contained in x and z
@@ -484,16 +363,17 @@ func (mr *matcher) equalInternal(x, y *tree.Node) bool {
 // with an O(1) interval containment test per matched leaf — O(|x|) total,
 // versus the O(|x|·depth) ancestor climb of the naive formulation. In the
 // r2 work measure each leaf costs one partner lookup plus, when a partner
-// exists, one containment check; charged reports that logical cost so
-// memo hits can replay it.
-func (mr *matcher) common(x, y *tree.Node) (count int, charged int64) {
+// exists, one containment check.
+func (mr *matcher) common(x, y *tree.Node) int {
 	yIn, yOut, ok := mr.idx2.Interval(y.ID())
 	if !ok {
-		return 0, 0
+		return 0
 	}
+	count := 0
+	var charged int64
 	for _, w := range mr.idx1.LeavesUnder(x) {
 		charged++
-		zID, matched := mr.partnerOfOld(w.ID())
+		zID, matched := mr.m.ToNew(w.ID())
 		if !matched {
 			continue
 		}
@@ -506,7 +386,7 @@ func (mr *matcher) common(x, y *tree.Node) (count int, charged int64) {
 	mr.opts.Stats.PartnerChecks += charged
 	mr.opts.Stats.EffectivePartnerChecks += charged
 	mr.charge(charged)
-	return count, charged
+	return count
 }
 
 // equal dispatches to the leaf or internal rule depending on the nodes'
@@ -534,8 +414,8 @@ func (mr *matcher) equal(x, y *tree.Node) bool {
 // the bottom-up label order both Match and FastMatch require: under the
 // acyclic-labels condition (§5.1) it is a topological order of the label
 // schema, so children's labels are processed before their ancestors' and
-// |common| is meaningful when internal nodes are compared. The grouping
-// exposes the rank rounds to the parallel scheduler (see parallel.go).
+// |common| is meaningful when internal nodes are compared. Each group is
+// one traced rank round (see rounds).
 func labelRankGroups(t1, t2 *tree.Tree) [][]tree.Label {
 	rank := make(map[tree.Label]int)
 	collect := func(t *tree.Tree) {

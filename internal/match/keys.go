@@ -18,7 +18,8 @@ type KeyFunc func(n *tree.Node) (key string, ok bool)
 // matchByKeys pre-pairs nodes by (label, key). Keys that appear more
 // than once on a side are ignored (they cannot identify anything), as
 // are keys present on only one side. The pass is O(n) with one map per
-// side; each lookup is a partner check in the §8 work accounting.
+// side; each lookup is a partner check in the §8 work accounting and is
+// charged to the work budget.
 func (mr *matcher) matchByKeys(key KeyFunc) error {
 	type slot struct {
 		node *tree.Node
@@ -45,6 +46,11 @@ func (mr *matcher) matchByKeys(key KeyFunc) error {
 	newIdx := index(mr.t2)
 	for id, s1 := range oldIdx {
 		mr.opts.Stats.PartnerChecks++
+		mr.opts.Stats.EffectivePartnerChecks++
+		mr.charge(1)
+		if mr.err != nil {
+			return mr.runErr()
+		}
 		if s1.dup {
 			continue
 		}

@@ -1,10 +1,12 @@
 package match_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"ladiff/internal/compare"
+	"ladiff/internal/lderr"
 	. "ladiff/internal/match"
 	"ladiff/internal/tree"
 )
@@ -100,6 +102,47 @@ func TestKeyedWorksInBothMatchers(t *testing.T) {
 		b, _ := m.ToNew(3)
 		if a != 3 || b != 2 {
 			t.Fatalf("%s: keyed crossing not matched: %v %v", name, a, b)
+		}
+	}
+}
+
+// TestKeyedPassChargesWork pins the keyed pre-pass into the §8 work
+// accounting: its lookups count as executed partner checks and draw on
+// the work budget, so a budget one unit short of the run's r1+r2
+// degrades.
+func TestKeyedPassChargesWork(t *testing.T) {
+	t1 := tree.MustParse(`db
+  row "id=1 alpha beta gamma"
+  row "id=2 delta epsilon zeta"
+  note "an unkeyed annotation here"`)
+	t2 := tree.MustParse(`db
+  row "id=2 totally rewritten now"
+  note "an unkeyed annotation here"
+  row "id=1 also fully rewritten"`)
+	for name, algo := range map[string]func(*tree.Tree, *tree.Tree, Options) (*Matching, error){
+		"Match":     Match,
+		"FastMatch": FastMatch,
+	} {
+		stats := &Stats{}
+		want, err := algo(t1, t2, Options{Key: keyFromValue, Stats: stats})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.EffectivePartnerChecks != stats.PartnerChecks {
+			t.Errorf("%s: effective partner checks %d, logical %d", name,
+				stats.EffectivePartnerChecks, stats.PartnerChecks)
+		}
+		total := stats.Total()
+		got, err := algo(t1, t2, Options{Key: keyFromValue, WorkBudget: total})
+		if err != nil {
+			t.Fatalf("%s: budget %d (= r1+r2): %v", name, total, err)
+		}
+		if !pairsEqual(got, want) {
+			t.Errorf("%s: budget %d: matching differs from the unbudgeted run", name, total)
+		}
+		_, err = algo(t1, t2, Options{Key: keyFromValue, WorkBudget: total - 1})
+		if !errors.Is(err, lderr.ErrDegraded) {
+			t.Errorf("%s: budget %d (r1+r2 − 1): err = %v, want ErrDegraded", name, total-1, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"ladiff/internal/fault"
 	"ladiff/internal/lcs"
 	"ladiff/internal/lderr"
+	"ladiff/internal/obs"
 	"ladiff/internal/tree"
 )
 
@@ -16,9 +17,7 @@ import (
 // When Matching Criterion 3 holds and the label schema is acyclic, the
 // candidate order is irrelevant: at most one candidate is equal (Lemma
 // C.3), so the result is the unique maximal matching of Theorem 5.2.
-// Running time is O(n²c + mn) (Appendix B). Independent labels of equal
-// bottom-up rank are processed concurrently under Options.Parallelism;
-// the result is bit-identical to the sequential run (see parallel.go).
+// Running time is O(n²c + mn) (Appendix B).
 func Match(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -47,10 +46,37 @@ func Match(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	return mr.m, nil
 }
 
+// rounds processes every label of both trees in bottom-up rank order,
+// applying process to each label. A cancelled context (Options.Ctx) or
+// an exhausted work budget stops the schedule at the next label
+// boundary.
+func (mr *matcher) rounds(process func(*matcher, tree.Label)) {
+	for rank, group := range labelRankGroups(mr.t1, mr.t2) {
+		if mr.checkCtxNow() {
+			return
+		}
+		// One span per rank round (coarse: never per node, so the
+		// disabled path pays one atomic load per round). The span is
+		// passive — attributes describe the round, nothing reads them
+		// back — so traced and untraced runs match bit for bit.
+		_, sp := obs.StartSpan(mr.opts.Ctx, "round")
+		sp.Int("rank", int64(rank))
+		sp.Int("labels", int64(len(group)))
+		for _, label := range group {
+			if mr.checkCtxNow() {
+				sp.End()
+				return
+			}
+			process(mr, label)
+		}
+		sp.End()
+	}
+}
+
 // matchLabelQuadratic runs one label round of Algorithm Match.
 func (mr *matcher) matchLabelQuadratic(label tree.Label) {
-	s1 := mr.pruneResidue(mr.idx1.Chain(label), mr.matchedOld)
-	s2 := mr.pruneResidue(mr.idx2.Chain(label), mr.matchedNew)
+	s1 := mr.pruneResidue(mr.idx1.Chain(label), mr.m.MatchedOld)
+	s2 := mr.pruneResidue(mr.idx2.Chain(label), mr.m.MatchedNew)
 	mr.matchChainsQuadratic(s1, s2)
 }
 
@@ -61,11 +87,11 @@ func (mr *matcher) matchChainsQuadratic(s1, s2 []*tree.Node) {
 		if mr.err != nil {
 			return
 		}
-		if mr.matchedOld(x.ID()) {
+		if mr.m.MatchedOld(x.ID()) {
 			continue
 		}
 		for _, y := range s2 {
-			if mr.matchedNew(y.ID()) {
+			if mr.m.MatchedNew(y.ID()) {
 				continue
 			}
 			if mr.equal(x, y) {
@@ -82,8 +108,6 @@ func (mr *matcher) matchChainsQuadratic(s1, s2 []*tree.Node) {
 // the criteria's equality, which matches all nodes that appear in the same
 // relative order in one O(ND) pass; only the leftovers fall through to the
 // quadratic pairing. Running time is O((ne+e²)c + 2lne) (Appendix B).
-// Independent labels of equal bottom-up rank are processed concurrently
-// under Options.Parallelism, bit-identically to the sequential run.
 //
 // When Matching Criterion 3 holds and the label schema is acyclic,
 // FastMatch and Match return identical matchings (Theorem 5.2). When
@@ -121,13 +145,13 @@ func FastMatch(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 // alignment of the label chains (steps 2c–2d), then the quadratic pairing
 // of the leftovers (step 2e).
 func (mr *matcher) matchLabelFast(label tree.Label) {
-	s1 := mr.pruneResidue(mr.idx1.Chain(label), mr.matchedOld)
-	s2 := mr.pruneResidue(mr.idx2.Chain(label), mr.matchedNew)
+	s1 := mr.pruneResidue(mr.idx1.Chain(label), mr.m.MatchedOld)
+	s2 := mr.pruneResidue(mr.idx2.Chain(label), mr.m.MatchedNew)
 	pairs := lcs.Pairs(s1, s2, func(x, y *tree.Node) bool {
 		// Nodes matched by a previous label pass (impossible for a
 		// homogeneous-label schema, but chains can revisit nodes when
 		// labels repeat across levels) must not be re-matched.
-		if mr.matchedOld(x.ID()) || mr.matchedNew(y.ID()) {
+		if mr.m.MatchedOld(x.ID()) || mr.m.MatchedNew(y.ID()) {
 			return false
 		}
 		return mr.equal(x, y)
@@ -199,9 +223,9 @@ func PostProcess(t1, t2 *tree.Tree, m *Matching, opts Options) (_ int, err error
 				}
 				// Displace cc's non-local match, if any, then re-match.
 				if oldID, ok := m.ToOld(cc.ID()); ok {
-					mr.removeOld(oldID)
+					mr.m.Remove(oldID)
 				}
-				mr.removeOld(c.ID())
+				mr.m.Remove(c.ID())
 				mr.add(c, cc)
 				rewritten++
 				break

@@ -92,7 +92,7 @@ func (mr *matcher) runPrune() (subtrees, pairs int64) {
 		if polls%ctxPollStride == 0 && mr.checkCtxNow() {
 			break
 		}
-		if mr.matchedOld(x.ID()) {
+		if mr.m.MatchedOld(x.ID()) {
 			continue // interior of an already-claimed old subtree
 		}
 		f, ok := fp1.Of(x.ID())
@@ -135,7 +135,7 @@ func (mr *matcher) runPrune() (subtrees, pairs int64) {
 // matched (it lies in or at the root of a claimed region) or containing
 // a claimed entry strictly inside its Euler interval.
 func (mr *matcher) pruneConsumed(y *tree.Node, claimedIn []int32) bool {
-	if mr.matchedNew(y.ID()) {
+	if mr.m.MatchedNew(y.ID()) {
 		return true
 	}
 	yIn, yOut, ok := mr.idx2.Interval(y.ID())
@@ -153,7 +153,7 @@ func (mr *matcher) pruneConsumed(y *tree.Node, claimedIn []int32) bool {
 // collision can never produce a wrong match — only a wasted probe.
 func (mr *matcher) pruneVerify(a, b *tree.Node) bool {
 	mr.opts.Stats.PruneVerifyNodes++
-	if mr.matchedOld(a.ID()) || mr.matchedNew(b.ID()) {
+	if mr.m.MatchedOld(a.ID()) || mr.m.MatchedNew(b.ID()) {
 		return false
 	}
 	if a.Label() != b.Label() || a.Value() != b.Value() || a.NumChildren() != b.NumChildren() {

@@ -47,7 +47,7 @@ document
 	t1, t2 := pruneTrees(t, src1, src2)
 
 	stats := &Stats{}
-	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats, Parallelism: 1})
+	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
 	}
@@ -61,7 +61,7 @@ document
 		t.Fatalf("pruned matching invalid: %v", err)
 	}
 
-	base, err := FastMatch(t1, t2, Options{Parallelism: 1})
+	base, err := FastMatch(t1, t2, Options{})
 	if err != nil {
 		t.Fatalf("unpruned FastMatch: %v", err)
 	}
@@ -89,7 +89,7 @@ document
 `
 	t1, t2 := pruneTrees(t, src, src)
 	stats := &Stats{}
-	m, err := FastMatch(t1, t2, Options{Stats: stats, Parallelism: 1})
+	m, err := FastMatch(t1, t2, Options{Stats: stats})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
 	}
@@ -114,7 +114,7 @@ document
 `
 	t1, t2 := pruneTrees(t, src, src)
 	stats := &Stats{}
-	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats, Parallelism: 1})
+	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
 	}
@@ -160,7 +160,6 @@ root
 		PruneFP1:       tree.BuildFingerprints(t1, weak),
 		PruneFP2:       tree.BuildFingerprints(t2, weak),
 		Stats:          stats,
-		Parallelism:    1,
 	})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
@@ -215,7 +214,7 @@ document
 		}
 		return "", false
 	}
-	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Key: key, Parallelism: 1})
+	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Key: key})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
 	}
@@ -239,7 +238,7 @@ document
 `
 	t1, t2 := pruneTrees(t, src, src)
 	stats := &Stats{}
-	m, err := Match(t1, t2, Options{PruneIdentical: true, Stats: stats, Parallelism: 1})
+	m, err := Match(t1, t2, Options{PruneIdentical: true, Stats: stats})
 	if err != nil {
 		t.Fatalf("Match: %v", err)
 	}
@@ -262,7 +261,7 @@ document
 `
 	t1, t2 := pruneTrees(t, src, src)
 	stats := &Stats{}
-	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats, Parallelism: 1})
+	m, err := FastMatch(t1, t2, Options{PruneIdentical: true, Stats: stats})
 	if err != nil {
 		t.Fatalf("FastMatch: %v", err)
 	}

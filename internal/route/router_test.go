@@ -159,8 +159,8 @@ func TestRouterStatelessDiffAffinity(t *testing.T) {
 	defer router.Close()
 
 	body, _ := json.Marshal(map[string]string{
-		"old": "The first sentence is here. Another sentence follows it.",
-		"new": "The first sentence is here. Another sentence replaces it.",
+		"old":    "The first sentence is here. Another sentence follows it.",
+		"new":    "The first sentence is here. Another sentence replaces it.",
 		"format": "text",
 	})
 	var first string
@@ -547,9 +547,9 @@ func TestRouterNoReplicas(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // nothing is listening
 	rt := newTestRouter(t, Config{
-		Replicas:      []string{dead.URL},
-		ProbeInterval: time.Hour,
-		Breaker:       1,
+		Replicas:       []string{dead.URL},
+		ProbeInterval:  time.Hour,
+		Breaker:        1,
 		AttemptTimeout: time.Second,
 	})
 	router := httptest.NewServer(rt.Handler())

@@ -485,7 +485,6 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 		// FastMatch here.
 		mm, reasons, err := ladiff.FindMatchingFor(oldT, newT, matcher, ladiff.MatchOptions{
 			Ctx:               ctx,
-			Parallelism:       s.cfg.MatchParallelism,
 			LeafThreshold:     req.LeafThreshold,
 			InternalThreshold: req.InternalThreshold,
 			WorkBudget:        s.cfg.MatchWorkBudget,

@@ -70,20 +70,15 @@ type (
 	// Matching is a partial one-to-one node correspondence (§3.1).
 	Matching = match.Matching
 	// MatchOptions configures the Good Matching criteria (§5) and the
-	// matching engine: Parallelism bounds the worker pool for
-	// independent label rounds (0 means GOMAXPROCS, 1 forces
-	// sequential), DisableMemo turns off the internal-pair comparison
-	// memo for A/B measurement (leaf compares are never memoized). Both
-	// knobs are behaviour-preserving — every configuration returns the
-	// identical matching. A nil Compare selects the word-LCS comparer,
+	// matching run: its context, work budget, keyed pre-pass and
+	// fingerprint pruning. A nil Compare selects the word-LCS comparer,
 	// run on interned word IDs; a custom Compare sees the value strings.
 	MatchOptions = match.Options
 	// MatchStats carries the §8 work counters: LeafCompares/
-	// PartnerChecks are the logical r1/r2 of Figure 13(b), invariant
-	// across engine configurations; the Effective* fields count the
-	// work that actually executed after memoization. Only internal
-	// pairs are memoized, so EffectiveLeafCompares equals LeafCompares
-	// and LeafMemoHits is always 0.
+	// PartnerChecks are r1/r2 of Figure 13(b). The matcher keeps no
+	// comparison memo, so the Effective* fields equal their logical
+	// counterparts and LeafMemoHits/InternalMemoHits are always 0; they
+	// stay for the reports that read them.
 	MatchStats = match.Stats
 
 	// WorkStats counts Algorithm EditScript's abstract work (Result.Work):

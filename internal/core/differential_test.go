@@ -276,7 +276,7 @@ func TestFindPosRootAccounting(t *testing.T) {
 	workT := newT.Clone()
 
 	scan := &generator{work: workT, new: newT, mm: match.NewMatching(),
-		inOrder2: map[tree.NodeID]bool{}, result: &Result{}}
+		inOrder: make([]bool, newT.MaxID()+1), result: &Result{}}
 	k, err := scan.findPos(newT.Root())
 	if err != nil || k != 1 {
 		t.Fatalf("scan findPos(root) = %d, %v; want 1, nil", k, err)
@@ -289,8 +289,8 @@ func TestFindPosRootAccounting(t *testing.T) {
 	}
 
 	indexed := &generator{work: workT, new: newT, mm: match.NewMatching(),
-		inOrder2: map[tree.NodeID]bool{}, result: &Result{}}
-	indexed.gi = newGenIndex(newT, workT, indexed.inOrder2)
+		inOrder: make([]bool, newT.MaxID()+1), result: &Result{}}
+	indexed.gi = newGenIndex(newT, workT, indexed.inOrder)
 	k, err = indexed.findPos(newT.Root())
 	if err != nil || k != 1 {
 		t.Fatalf("indexed findPos(root) = %d, %v; want 1, nil", k, err)

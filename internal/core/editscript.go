@@ -268,12 +268,10 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 	}
 
 	g := &generator{
-		work:     t1.Clone(),
-		new:      t2,
-		mm:       m.Clone(),
-		opts:     opts,
-		inOrder1: make(map[tree.NodeID]bool),
-		inOrder2: make(map[tree.NodeID]bool),
+		work: t1.Clone(),
+		new:  t2,
+		mm:   m.Clone(),
+		opts: opts,
 		result: &Result{
 			Matching:    m,
 			Old:         t1,
@@ -284,6 +282,7 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 			DeletedOld:  make(map[tree.NodeID]bool),
 		},
 	}
+	g.mm.Reserve(g.work, t2)
 
 	// Insert phase preamble (§4.1): if the roots are not matched, wrap
 	// both trees in matched dummy roots so that every real node has a
@@ -301,6 +300,8 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 		g.result.WrappedOldRoot = d1.ID()
 		g.result.WrappedNewRoot = d2.ID()
 	}
+	// The new tree is read-only from here on, so its ID range is final.
+	g.inOrder = make([]bool, g.new.MaxID()+1)
 
 	// The generation index is built after wrapping so that childPos
 	// covers the dummy roots; the working tree's PosIndex is maintained
@@ -309,7 +310,7 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 		if err := fault.Check(fault.GenIndex); err != nil {
 			return nil, lderr.TagAs(lderr.ErrInternal, err)
 		}
-		g.gi = newGenIndex(g.new, g.work, g.inOrder2)
+		g.gi = newGenIndex(g.new, g.work, g.inOrder)
 	}
 
 	if err := g.run(); err != nil {
@@ -340,14 +341,15 @@ type generator struct {
 	// gi is the edit-script generation index (genindex.go); nil when
 	// opts.DisableIndex selects the reference scan path.
 	gi *genIndex
-	// inOrder1 marks working-tree nodes "in order", inOrder2 marks
-	// new-tree nodes; AlignChildren resets the marks for each sibling
-	// group before aligning it (Figure 9).
-	inOrder1 map[tree.NodeID]bool
-	inOrder2 map[tree.NodeID]bool
-	script   edit.Script
-	result   *Result
-	nextID   tree.NodeID
+	// inOrder marks new-tree nodes "in order", indexed by NodeID;
+	// AlignChildren resets the marks for each sibling group before
+	// aligning it (Figure 9). Only FindPos reads marks, and only on the
+	// new tree, so the working-tree half of the paper's marking is not
+	// kept.
+	inOrder []bool
+	script  edit.Script
+	result  *Result
+	nextID  tree.NodeID
 }
 
 // run executes the combined breadth-first phase and the delete phase.
@@ -406,7 +408,7 @@ func (g *generator) bfsPhase() (err error) {
 				return fmt.Errorf("core: matching inserted node: %w", err)
 			}
 			g.result.InsertedNew[x.ID()] = true
-			g.markInOrder(w, x)
+			g.markInOrder(x)
 
 		case x.Parent() == nil:
 			// The matched root: it cannot move, but — when the input
@@ -452,7 +454,7 @@ func (g *generator) bfsPhase() (err error) {
 				}
 				g.result.MovedOld[w.ID()] = true
 			}
-			g.markInOrder(w, x)
+			g.markInOrder(x)
 		}
 		// Step 2d: align the children of w and x.
 		if err := g.alignChildren(w, x); err != nil {
@@ -531,9 +533,8 @@ func (g *generator) nextWorkID() tree.NodeID {
 	return id
 }
 
-func (g *generator) markInOrder(w, x *tree.Node) {
-	g.inOrder1[w.ID()] = true
-	g.inOrder2[x.ID()] = true
+func (g *generator) markInOrder(x *tree.Node) {
+	g.inOrder[x.ID()] = true
 	if g.gi != nil {
 		g.gi.onMark(x)
 	}
@@ -549,12 +550,9 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 	if w == nil || x == nil || (len(w.Children()) == 0 && len(x.Children()) == 0) {
 		return nil
 	}
-	// Step 1: mark all children of w and x "out of order".
-	for _, c := range w.Children() {
-		g.inOrder1[c.ID()] = false
-	}
+	// Step 1: mark all children of x "out of order".
 	for _, c := range x.Children() {
-		g.inOrder2[c.ID()] = false
+		g.inOrder[c.ID()] = false
 	}
 	if g.gi != nil {
 		g.gi.onReset(x.ID())
@@ -577,24 +575,25 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 		}
 	}
 	// Steps 3–5: LCS under equal(a,b) ⇔ (a,b) ∈ M'; its pairs stay put.
-	pairs := lcsPairs(s1, s2, func(a, b *tree.Node) bool {
+	pairs := lcs.Indices(len(s1), len(s2), func(i, j int) bool {
 		g.result.Work.AlignEquals++
 		g.result.Work.EffectiveAlignEquals++
-		return g.mm.Has(a.ID(), b.ID())
+		return g.mm.Has(s1[i].ID(), s2[j].ID())
 	})
-	inLCS := make(map[tree.NodeID]bool, len(pairs))
 	for _, p := range pairs {
-		g.markInOrder(p.a, p.b)
-		inLCS[p.a.ID()] = true
+		g.markInOrder(s2[p.B])
 	}
 	// Step 6: move every matched pair not in the LCS into place,
 	// left-to-right over x's children so FindPos anchors are in place.
-	for _, b := range s2 {
-		aID, _ := g.mm.ToOld(b.ID())
-		a := g.work.Node(aID)
-		if inLCS[a.ID()] {
+	// The LCS pairs ascend in B, so one cursor walks them beside s2.
+	next := 0
+	for j, b := range s2 {
+		if next < len(pairs) && pairs[next].B == j {
+			next++
 			continue
 		}
+		aID, _ := g.mm.ToOld(b.ID())
+		a := g.work.Node(aID)
 		k, err := g.findPos(b)
 		if err != nil {
 			return err
@@ -603,7 +602,7 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 			return err
 		}
 		g.result.MovedOld[a.ID()] = true
-		g.markInOrder(a, b)
+		g.markInOrder(b)
 	}
 	return nil
 }
@@ -689,7 +688,7 @@ func (g *generator) findPosScan(x *tree.Node) (int, error) {
 		if sib == x {
 			break
 		}
-		if g.inOrder2[sib.ID()] {
+		if g.inOrder[sib.ID()] {
 			v = sib
 		}
 	}
@@ -722,18 +721,4 @@ func (g *generator) findPosScan(x *tree.Node) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: in-order partner %v not found among its parent's children", u)
-}
-
-// lcsPair couples aligned children during alignChildren.
-type lcsPair struct{ a, b *tree.Node }
-
-// lcsPairs adapts the Myers LCS (the same O(ND) routine AlignChildren is
-// specified to use, §4.2) to child slices.
-func lcsPairs(s1, s2 []*tree.Node, equal func(a, b *tree.Node) bool) []lcsPair {
-	idx := lcs.Indices(len(s1), len(s2), func(i, j int) bool { return equal(s1[i], s2[j]) })
-	out := make([]lcsPair, len(idx))
-	for i, p := range idx {
-		out[i] = lcsPair{a: s1[p.A], b: s2[p.B]}
-	}
-	return out
 }

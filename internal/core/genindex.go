@@ -25,19 +25,19 @@ import (
 // findPosIndexed). steps accumulates the elementary Fenwick operations
 // executed; together with pos.Steps() it becomes EffectivePosScans.
 type genIndex struct {
-	// childPos maps every non-root node of the new tree to its 1-based
-	// child index. Built once after root wrapping; the new tree is
-	// read-only for the rest of the run.
-	childPos map[tree.NodeID]int32
-	// bits holds the per-parent in-order Fenwick trees, keyed by the
+	// childPos holds every non-root node of the new tree's 1-based
+	// child index, indexed by NodeID. Built once after root wrapping;
+	// the new tree is read-only for the rest of the run.
+	childPos []int32
+	// bits holds the per-parent in-order Fenwick trees, indexed by the
 	// parent's new-tree node ID. An entry appears on the first FindPos
 	// under that parent (always after AlignChildren has reset the
 	// parent's marks) and is dropped if the marks are ever reset again.
-	bits map[tree.NodeID]*inOrderBits
-	// inOrder aliases the generator's inOrder2 map: the source of truth
-	// for the marks, from which a Fenwick tree is initialized when it is
-	// first built.
-	inOrder map[tree.NodeID]bool
+	bits []*inOrderBits
+	// inOrder aliases the generator's inOrder slice: the source of
+	// truth for the marks, from which a Fenwick tree is initialized when
+	// it is first built.
+	inOrder []bool
 	// pos is the working tree's maintained order-statistic index.
 	pos *tree.PosIndex
 	// steps counts elementary Fenwick operations (loop iterations in
@@ -45,11 +45,11 @@ type genIndex struct {
 	steps int64
 }
 
-func newGenIndex(newTree, work *tree.Tree, inOrder2 map[tree.NodeID]bool) *genIndex {
+func newGenIndex(newTree, work *tree.Tree, inOrder []bool) *genIndex {
 	gi := &genIndex{
-		childPos: make(map[tree.NodeID]int32, newTree.Len()),
-		bits:     make(map[tree.NodeID]*inOrderBits),
-		inOrder:  inOrder2,
+		childPos: make([]int32, newTree.MaxID()+1),
+		bits:     make([]*inOrderBits, newTree.MaxID()+1),
+		inOrder:  inOrder,
 		pos:      work.Positions(),
 	}
 	newTree.Walk(func(n *tree.Node) bool {
@@ -87,7 +87,7 @@ func (gi *genIndex) bitsFor(y *tree.Node) *inOrderBits {
 }
 
 // onMark records that the new-tree node x was marked "in order",
-// keeping x's parent's Fenwick tree (if built) in sync with inOrder2.
+// keeping x's parent's Fenwick tree (if built) in sync with inOrder.
 func (gi *genIndex) onMark(x *tree.Node) {
 	p := x.Parent()
 	if p == nil {
@@ -103,7 +103,7 @@ func (gi *genIndex) onMark(x *tree.Node) {
 // whole sibling group "out of order". The tree is rebuilt lazily from
 // the marks if FindPos ever queries the group again.
 func (gi *genIndex) onReset(parentID tree.NodeID) {
-	delete(gi.bits, parentID)
+	gi.bits[parentID] = nil
 }
 
 // inOrderBits is a Fenwick (binary indexed) tree over the in-order

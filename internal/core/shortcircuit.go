@@ -32,6 +32,7 @@ func ShortCircuitIdentical(ctx context.Context, old, new *tree.Tree) (*Result, b
 		return nil, false // fingerprint collision: fall through, stay correct
 	}
 	m := match.NewMatching()
+	m.Reserve(old, new)
 	po, pn := old.PreOrder(), new.PreOrder()
 	for i := range po {
 		if err := m.Add(po[i].ID(), pn[i].ID()); err != nil {

@@ -163,17 +163,21 @@ type builder struct {
 	oldT     *tree.Tree
 	newT     *tree.Tree
 	moveRefs int
-	// sources maps an old node ID to its MoveSource tombstone, so the
-	// MoveDest (built from the new side) can link up regardless of which
-	// side is visited first.
-	sources map[tree.NodeID]*Node
-	dests   map[tree.NodeID]*Node
+	// sources holds each moved old node's MoveSource tombstone, indexed
+	// by old NodeID, so the MoveDest (built from the new side) can link
+	// up regardless of which side is visited first; dests likewise.
+	sources []*Node
+	dests   []*Node
+	// newIndex holds each new node's 0-based index among its parent's
+	// children, indexed by new NodeID; mergeChildren fills in one
+	// sibling group per call before reading it.
+	newIndex []int32
 }
 
 func (b *builder) ref(oldID tree.NodeID) (src, dst *Node) {
 	if b.sources == nil {
-		b.sources = make(map[tree.NodeID]*Node)
-		b.dests = make(map[tree.NodeID]*Node)
+		b.sources = make([]*Node, b.oldT.MaxID()+1)
+		b.dests = make([]*Node, b.oldT.MaxID()+1)
 	}
 	if b.sources[oldID] == nil {
 		b.moveRefs++
@@ -230,13 +234,15 @@ func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 	}
 	// after[i] collects tombstones to place after newKids[i]; prefix
 	// collects those with no stable left anchor.
-	after := make(map[int][]*Node)
+	var after [][]*Node
 	var prefix []*Node
-	// stableIndex: for old children matched to a child of y and not
+	// newIndex: for old children matched to a child of y and not
 	// moved, the index of that child in y's children.
-	newIndex := make(map[tree.NodeID]int)
+	if b.newIndex == nil {
+		b.newIndex = make([]int32, b.newT.MaxID()+1)
+	}
 	for i, c := range y.Children() {
-		newIndex[c.ID()] = i
+		b.newIndex[c.ID()] = int32(i)
 	}
 	anchor := -1
 	for _, c := range x.Children() {
@@ -245,34 +251,41 @@ func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 			partner := b.newT.Node(partnerID)
 			if partner.Parent() == y && !b.res.MovedOld[c.ID()] {
 				// Stable: its content node is newKids[idx]; advance anchor.
-				anchor = newIndex[partnerID]
+				anchor = int(b.newIndex[partnerID])
 				continue
 			}
 			// Moved away (inter-parent) or reordered (intra-parent):
 			// leave a MoveSource tombstone at the old position.
 			src, _ := b.ref(c.ID())
 			src.Label, src.Value = c.Label(), c.Value()
-			b.place(src, anchor, after, &prefix)
+			b.place(src, anchor, &after, &prefix)
 			continue
 		}
 		// Unmatched: deleted subtree tombstone.
-		b.place(b.deletedTombstone(c), anchor, after, &prefix)
+		b.place(b.deletedTombstone(c), anchor, &after, &prefix)
 	}
 	out := make([]*Node, 0, len(newKids)+len(prefix))
 	out = append(out, prefix...)
 	for i, k := range newKids {
 		out = append(out, k)
-		out = append(out, after[i]...)
+		if i < len(after) {
+			out = append(out, after[i]...)
+		}
 	}
 	return out
 }
 
-func (b *builder) place(n *Node, anchor int, after map[int][]*Node, prefix *[]*Node) {
+// place files tombstone n after newKids[anchor], or into prefix when
+// there is no stable left anchor; after grows on first use.
+func (b *builder) place(n *Node, anchor int, after *[][]*Node, prefix *[]*Node) {
 	if anchor < 0 {
 		*prefix = append(*prefix, n)
 		return
 	}
-	after[anchor] = append(after[anchor], n)
+	if anchor >= len(*after) {
+		*after = append(*after, make([][]*Node, anchor+1-len(*after))...)
+	}
+	(*after)[anchor] = append((*after)[anchor], n)
 }
 
 // deletedTombstone builds the tombstone subtree for an unmatched old

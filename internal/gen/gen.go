@@ -293,6 +293,7 @@ func Perturb(t *tree.Tree, p PerturbParams) (*Perturbed, error) {
 	}
 
 	truth := match.NewMatching()
+	truth.Reserve(t, work)
 	work.Walk(func(n *tree.Node) bool {
 		if t.Contains(n.ID()) {
 			if err := truth.Add(n.ID(), n.ID()); err != nil {

@@ -125,19 +125,38 @@ func Indices(n, m int, equal func(i, j int) bool) []IndexPair {
 	if n == 0 || m == 0 {
 		return nil
 	}
+	// Round d = 0 is the single snake along diagonal 0. It runs before
+	// anything is allocated: when it reaches (n,m) — equal sequences,
+	// the common case for already-aligned children — the LCS is the
+	// diagonal itself. The equal calls are exactly those round 0 of the
+	// loop below would make.
+	x0 := 0
+	for x0 < n && x0 < m && equal(x0, x0) {
+		x0++
+	}
+	if x0 >= n && x0 >= m {
+		out := make([]IndexPair, n)
+		for i := range out {
+			out[i] = IndexPair{A: i, B: i}
+		}
+		return out
+	}
 	maxD := n + m
 	// v[k+offset] is the furthest x on diagonal k after the current
 	// d-round. trace keeps, per round, a snapshot of only the active
 	// diagonal window [-d, d] as it stood entering the round (round d−1
 	// wrote at most diagonals ±(d−1), and the backtrack for round d reads
 	// only diagonals within ±d), so total trace space is O(D²) instead of
-	// the O(D·(n+m)) a full-array snapshot per round would cost.
+	// the O(D·(n+m)) a full-array snapshot per round would cost. Round 0
+	// entered with an all-zero array and the backtrack never reads its
+	// snapshot.
 	offset := maxD
 	v := make([]int, 2*maxD+1)
-	var trace [][]int
+	v[offset] = x0
+	trace := [][]int{nil}
 	var dFinal = -1
 outer:
-	for d := 0; d <= maxD; d++ {
+	for d := 1; d <= maxD; d++ {
 		snapshot := make([]int, 2*d+1)
 		copy(snapshot, v[offset-d:offset+d+1])
 		trace = append(trace, snapshot)

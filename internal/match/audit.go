@@ -113,7 +113,7 @@ func MismatchBoundSweep(t1, t2 *tree.Tree, label tree.Label, ts []float64, opts 
 	if err != nil {
 		return nil, err
 	}
-	violating := make(map[tree.NodeID]bool, len(oldViol))
+	violating := make([]bool, t1.MaxID()+1)
 	for _, id := range oldViol {
 		violating[id] = true
 	}

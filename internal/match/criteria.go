@@ -179,9 +179,9 @@ type matcher struct {
 	// words interns the words of compared values and runs the
 	// Criterion 1 kernel; nil when Options.Compare is a custom comparer,
 	// which then sees the value strings. ids1/ids2 cache each node's
-	// word IDs per tree.
+	// word IDs per tree, indexed by NodeID (nil = not yet tokenized).
 	words      *compare.WordIDs
-	ids1, ids2 map[tree.NodeID][]uint32
+	ids1, ids2 [][]uint32
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
@@ -280,10 +280,11 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		opts: opts, m: NewMatching(),
 		budget: opts.WorkBudget,
 	}
+	mr.m.Reserve(t1, t2)
 	if wordLCS {
 		mr.words = &compare.WordIDs{}
-		mr.ids1 = make(map[tree.NodeID][]uint32)
-		mr.ids2 = make(map[tree.NodeID][]uint32)
+		mr.ids1 = make([][]uint32, t1.MaxID()+1)
+		mr.ids2 = make([][]uint32, t2.MaxID()+1)
 	}
 	return mr, nil
 }
@@ -302,9 +303,12 @@ func (mr *matcher) wordIDs(n *tree.Node, inOld bool) []uint32 {
 	if inOld {
 		cache = mr.ids1
 	}
-	ids, ok := cache[n.ID()]
-	if !ok {
+	ids := cache[n.ID()]
+	if ids == nil {
 		ids = mr.words.Tokenize(n.Value())
+		if ids == nil {
+			ids = []uint32{} // a non-nil empty slice marks "tokenized"
+		}
 		cache[n.ID()] = ids
 	}
 	return ids

@@ -186,6 +186,7 @@ func PostProcess(t1, t2 *tree.Tree, m *Matching, opts Options) (_ int, err error
 		return 0, err
 	}
 	mr.m = m
+	m.Reserve(t1, t2)
 	rewritten := 0
 	// isLocal reports whether new node cc's current match already pairs
 	// it with a child of its parent's partner.

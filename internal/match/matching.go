@@ -15,106 +15,151 @@ package match
 
 import (
 	"fmt"
-	"sort"
 
 	"ladiff/internal/tree"
 )
 
 // Matching is a partial one-to-one correspondence between node IDs of an
-// old tree and a new tree. The zero value is not usable; call NewMatching.
+// old tree and a new tree. It is stored densely: two slices indexed by
+// NodeID, where 0 means unmatched, so every lookup is one bounds-checked
+// load. The zero value is an empty matching, ready to use; Reserve sizes
+// it for a pair of trees up front.
 type Matching struct {
-	fwd map[tree.NodeID]tree.NodeID // old -> new
-	rev map[tree.NodeID]tree.NodeID // new -> old
+	fwd []tree.NodeID // old -> new
+	rev []tree.NodeID // new -> old
+	n   int
 }
 
 // NewMatching returns an empty matching.
-func NewMatching() *Matching {
-	return &Matching{
-		fwd: make(map[tree.NodeID]tree.NodeID),
-		rev: make(map[tree.NodeID]tree.NodeID),
+func NewMatching() *Matching { return &Matching{} }
+
+// Reserve sizes m to hold every node ID of t1 (the old side) and t2
+// (the new side) without growing, and lifts the Add bound to match.
+func (m *Matching) Reserve(t1, t2 *tree.Tree) {
+	m.fwd = grow(m.fwd, t1.MaxID())
+	m.rev = grow(m.rev, t2.MaxID())
+}
+
+// grow returns s extended to cover index id.
+func grow(s []tree.NodeID, id tree.NodeID) []tree.NodeID {
+	if need := int(id) + 1; need > len(s) {
+		s = append(s, make([]tree.NodeID, need-len(s))...)
 	}
+	return s
+}
+
+// partner returns s[id], or 0 when id lies outside s.
+func partner(s []tree.NodeID, id tree.NodeID) tree.NodeID {
+	if id <= 0 || id >= tree.NodeID(len(s)) {
+		return 0
+	}
+	return s[id]
+}
+
+// checkID rejects an ID that is non-positive, or that would grow s by
+// more than one slot while lying more than tree.MaxIDGap past the pair
+// count: the tables are slices indexed by ID, so an unbounded ID would
+// be an unbounded allocation.
+func (m *Matching) checkID(side string, s []tree.NodeID, id tree.NodeID) error {
+	if id <= 0 {
+		return fmt.Errorf("match: %s node ID %d is not positive", side, id)
+	}
+	if id > tree.NodeID(len(s)) && id > tree.NodeID(m.n)+tree.MaxIDGap {
+		return fmt.Errorf("match: %s node ID %d out of bounds (%d pairs, gap %d; Reserve sizes for larger trees)",
+			side, id, m.n, tree.MaxIDGap)
+	}
+	return nil
 }
 
 // Add records that old node x corresponds to new node y. It returns an
 // error if either node is already matched, preserving the one-to-one
-// property.
+// property, or if either ID is out of bounds (see checkID).
 func (m *Matching) Add(x, y tree.NodeID) error {
-	if prev, ok := m.fwd[x]; ok {
+	if err := m.checkID("old", m.fwd, x); err != nil {
+		return err
+	}
+	if err := m.checkID("new", m.rev, y); err != nil {
+		return err
+	}
+	if prev := partner(m.fwd, x); prev != 0 {
 		return fmt.Errorf("match: old node %d already matched to %d", x, prev)
 	}
-	if prev, ok := m.rev[y]; ok {
+	if prev := partner(m.rev, y); prev != 0 {
 		return fmt.Errorf("match: new node %d already matched to %d", y, prev)
 	}
+	m.fwd = grow(m.fwd, x)
+	m.rev = grow(m.rev, y)
 	m.fwd[x] = y
 	m.rev[y] = x
+	m.n++
 	return nil
 }
 
 // Remove deletes the pair involving old node x, if present.
 func (m *Matching) Remove(x tree.NodeID) {
-	if y, ok := m.fwd[x]; ok {
-		delete(m.fwd, x)
-		delete(m.rev, y)
+	if y := partner(m.fwd, x); y != 0 {
+		m.fwd[x] = 0
+		m.rev[y] = 0
+		m.n--
 	}
 }
 
 // ToNew returns the partner of old node x, if any.
 func (m *Matching) ToNew(x tree.NodeID) (tree.NodeID, bool) {
-	y, ok := m.fwd[x]
-	return y, ok
+	y := partner(m.fwd, x)
+	return y, y != 0
 }
 
 // ToOld returns the partner of new node y, if any.
 func (m *Matching) ToOld(y tree.NodeID) (tree.NodeID, bool) {
-	x, ok := m.rev[y]
-	return x, ok
+	x := partner(m.rev, y)
+	return x, x != 0
 }
 
 // Has reports whether the pair (x, y) is in the matching.
 func (m *Matching) Has(x, y tree.NodeID) bool {
-	got, ok := m.fwd[x]
-	return ok && got == y
+	return y != 0 && partner(m.fwd, x) == y
 }
 
 // MatchedOld reports whether old node x participates in the matching.
-func (m *Matching) MatchedOld(x tree.NodeID) bool { _, ok := m.fwd[x]; return ok }
+func (m *Matching) MatchedOld(x tree.NodeID) bool { return partner(m.fwd, x) != 0 }
 
 // MatchedNew reports whether new node y participates in the matching.
-func (m *Matching) MatchedNew(y tree.NodeID) bool { _, ok := m.rev[y]; return ok }
+func (m *Matching) MatchedNew(y tree.NodeID) bool { return partner(m.rev, y) != 0 }
 
 // Len returns the number of matched pairs.
-func (m *Matching) Len() int { return len(m.fwd) }
+func (m *Matching) Len() int { return m.n }
 
 // Pair is one (old, new) correspondence.
 type Pair struct {
 	Old, New tree.NodeID
 }
 
-// Pairs returns all pairs sorted by old node ID, for deterministic
-// iteration and display.
+// Pairs returns all pairs in ascending old node ID order, for
+// deterministic iteration and display.
 func (m *Matching) Pairs() []Pair {
-	out := make([]Pair, 0, len(m.fwd))
+	out := make([]Pair, 0, m.n)
 	for x, y := range m.fwd {
-		out = append(out, Pair{Old: x, New: y})
+		if y != 0 {
+			out = append(out, Pair{Old: tree.NodeID(x), New: y})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Old < out[j].Old })
 	return out
 }
 
 // Clone returns an independent copy of the matching.
 func (m *Matching) Clone() *Matching {
-	out := NewMatching()
-	for x, y := range m.fwd {
-		out.fwd[x] = y
-		out.rev[y] = x
+	return &Matching{
+		fwd: append([]tree.NodeID(nil), m.fwd...),
+		rev: append([]tree.NodeID(nil), m.rev...),
+		n:   m.n,
 	}
-	return out
 }
 
 // Contains reports whether every pair of m is also in other.
 func (m *Matching) Contains(other *Matching) bool {
 	for x, y := range other.fwd {
-		if got, ok := m.fwd[x]; !ok || got != y {
+		if y != 0 && partner(m.fwd, tree.NodeID(x)) != y {
 			return false
 		}
 	}
@@ -124,10 +169,18 @@ func (m *Matching) Contains(other *Matching) bool {
 // Validate checks that the matching is a bijection between nodes that
 // exist in t1 and t2 respectively and that matched pairs share labels.
 func (m *Matching) Validate(t1, t2 *tree.Tree) error {
-	if len(m.fwd) != len(m.rev) {
-		return fmt.Errorf("match: %d forward pairs but %d reverse pairs", len(m.fwd), len(m.rev))
+	nfwd, nrev := 0, 0
+	for _, x := range m.rev {
+		if x != 0 {
+			nrev++
+		}
 	}
-	for x, y := range m.fwd {
+	for i, y := range m.fwd {
+		if y == 0 {
+			continue
+		}
+		nfwd++
+		x := tree.NodeID(i)
 		nx, ny := t1.Node(x), t2.Node(y)
 		if nx == nil {
 			return fmt.Errorf("match: old node %d not in old tree", x)
@@ -135,12 +188,15 @@ func (m *Matching) Validate(t1, t2 *tree.Tree) error {
 		if ny == nil {
 			return fmt.Errorf("match: new node %d not in new tree", y)
 		}
-		if back, ok := m.rev[y]; !ok || back != x {
+		if partner(m.rev, y) != x {
 			return fmt.Errorf("match: pair (%d,%d) missing reverse entry", x, y)
 		}
 		if nx.Label() != ny.Label() {
 			return fmt.Errorf("match: pair (%v,%v) has differing labels", nx, ny)
 		}
+	}
+	if nfwd != m.n || nrev != m.n {
+		return fmt.Errorf("match: %d pairs but %d forward and %d reverse entries", m.n, nfwd, nrev)
 	}
 	return nil
 }

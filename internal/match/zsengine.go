@@ -27,7 +27,7 @@ func zsMatch(old, new *tree.Tree, opts Options) (*Matching, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MatchingFromMapPairs(pairs)
+	return MatchingFromMapPairs(old, new, pairs)
 }
 
 // GateQuadraticBudget degrades an engine whose work is Ω(n1·n2) before
@@ -44,9 +44,11 @@ func GateQuadraticBudget(engine string, old, new *tree.Tree, budget int64) error
 }
 
 // MatchingFromMapPairs converts an optimal edit mapping into a
-// Matching, keeping only the label-preserving pairs.
-func MatchingFromMapPairs(pairs []zs.MapPair) (*Matching, error) {
+// Matching between old and new, keeping only the label-preserving
+// pairs.
+func MatchingFromMapPairs(old, new *tree.Tree, pairs []zs.MapPair) (*Matching, error) {
 	m := NewMatching()
+	m.Reserve(old, new)
 	for _, p := range pairs {
 		if p.Old.Label() != p.New.Label() {
 			// MatchingCosts makes this impossible unless delete+insert

@@ -31,7 +31,7 @@ func Match(old, new *tree.Tree, opts match.Options) (_ *match.Matching, err erro
 	if err != nil {
 		return nil, err
 	}
-	return match.MatchingFromMapPairs(pairs)
+	return match.MatchingFromMapPairs(old, new, pairs)
 }
 
 func init() {

@@ -2,12 +2,14 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ladiff/internal/edit"
 	"ladiff/internal/fault"
 	"ladiff/internal/gen"
 )
@@ -186,6 +188,45 @@ func TestPersistMidFileCorruption(t *testing.T) {
 	}
 	if _, err := Open(path, Config{}); err == nil {
 		t.Fatal("reopening a mid-file-corrupted log succeeded; want an error")
+	}
+}
+
+// TestPersistHugeInsertIDRefused: a delta record whose script inserts
+// a node with ID 1<<40 — decodable, so not a torn tail — makes Open
+// return an error instead of growing a node table toward that ID.
+func TestPersistHugeInsertIDRefused(t *testing.T) {
+	path := tempLog(t)
+	s, err := Open(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range versionChain(t, gen.Classes()[0], 1) {
+		ingestTree(t, s, "k", doc)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(logRecord{Kind: "delta", Key: "k", Version: 3, FP: "0",
+		Script: edit.Script{edit.Ins(1<<40, "sentence", "x", 1, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(rec, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, Config{})
+	if err == nil {
+		t.Fatal("reopening a log with an INS of ID 1<<40 succeeded; want an error")
+	}
+	if !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "past the largest ID") {
+		t.Fatalf("error does not name the bad record and the ID bound: %v", err)
 	}
 }
 

@@ -44,7 +44,11 @@ func DefaultCombine(label Label, value string, children []Fingerprint) Fingerpri
 // not mutated concurrently; any mutation that can change content
 // (structural edits and SetValue) invalidates the cached copy.
 type FPIndex struct {
-	fps  map[NodeID]Fingerprint
+	// fps is indexed by NodeID; has marks the IDs the index covers (a
+	// test combiner may hash a subtree to the zero Fingerprint).
+	fps  []Fingerprint
+	has  []bool
+	n    int
 	root Fingerprint
 }
 
@@ -70,7 +74,7 @@ func BuildFingerprints(t *Tree, combine CombineFunc) *FPIndex {
 	if combine == nil {
 		combine = DefaultCombine
 	}
-	ix := &FPIndex{fps: make(map[NodeID]Fingerprint, len(t.nodes))}
+	ix := &FPIndex{fps: make([]Fingerprint, len(t.nodes)), has: make([]bool, len(t.nodes))}
 	var rec func(n *Node) Fingerprint
 	rec = func(n *Node) Fingerprint {
 		var kids []Fingerprint
@@ -82,6 +86,8 @@ func BuildFingerprints(t *Tree, combine CombineFunc) *FPIndex {
 		}
 		f := combine(n.label, n.value, kids)
 		ix.fps[n.id] = f
+		ix.has[n.id] = true
+		ix.n++
 		return f
 	}
 	if t.root != nil {
@@ -97,12 +103,14 @@ func (ix *FPIndex) Root() Fingerprint { return ix.root }
 // Of returns the fingerprint of the subtree rooted at the node with
 // the given ID. The second result is false for IDs outside the index.
 func (ix *FPIndex) Of(id NodeID) (Fingerprint, bool) {
-	f, ok := ix.fps[id]
-	return f, ok
+	if id <= 0 || id >= NodeID(len(ix.fps)) || !ix.has[id] {
+		return Fingerprint{}, false
+	}
+	return ix.fps[id], true
 }
 
 // Len returns the number of fingerprinted nodes.
-func (ix *FPIndex) Len() int { return len(ix.fps) }
+func (ix *FPIndex) Len() int { return ix.n }
 
 // invalidateFingerprints drops the cached fingerprint index. Called by
 // every structural mutation (via invalidateIndex) and additionally by

@@ -24,12 +24,12 @@ import "fmt"
 // safe for concurrent use with mutations, matching the tree itself.
 type PosIndex struct {
 	t *Tree
-	// lists holds the per-parent treaps, keyed by the parent's node ID;
-	// entries appear lazily on the first Rank under that parent.
-	lists map[NodeID]*childTreap
-	// nodes maps a child's node ID to its treap node, for every child
-	// covered by a built list.
-	nodes map[NodeID]*posNode
+	// lists holds the per-parent treaps, indexed by the parent's node
+	// ID; entries appear lazily on the first Rank under that parent.
+	lists []*childTreap
+	// nodes holds each child's treap node, indexed by the child's node
+	// ID, for every child covered by a built list.
+	nodes []*posNode
 	// rng is a deterministic xorshift state for treap priorities.
 	// Determinism keeps benchmark runs reproducible; correctness never
 	// depends on the priorities.
@@ -65,8 +65,8 @@ func (t *Tree) Positions() *PosIndex {
 	if t.pos == nil {
 		t.pos = &PosIndex{
 			t:     t,
-			lists: make(map[NodeID]*childTreap),
-			nodes: make(map[NodeID]*posNode),
+			lists: make([]*childTreap, len(t.nodes)),
+			nodes: make([]*posNode, len(t.nodes)),
 			rng:   0x9E3779B9,
 		}
 	}
@@ -85,10 +85,10 @@ func (ix *PosIndex) Rank(n *Node) int {
 	if n.parent == nil {
 		return 0
 	}
-	tn := ix.nodes[n.id]
+	tn := at(ix.nodes, n.id)
 	if tn == nil {
 		ix.build(n.parent)
-		tn = ix.nodes[n.id]
+		tn = at(ix.nodes, n.id)
 		if tn == nil {
 			// Unreachable for nodes maintained by Tree operations.
 			panic("tree: PosIndex.Rank of node missing from its parent's list")
@@ -109,11 +109,13 @@ func (ix *PosIndex) Rank(n *Node) int {
 // pushed and popped at most once), followed by one size-setting pass.
 func (ix *PosIndex) build(parent *Node) {
 	cl := &childTreap{}
+	ix.lists = growTo(ix.lists, parent.id)
 	ix.lists[parent.id] = cl
 	var spine []*posNode // current rightmost path, root first
 	for _, c := range parent.children {
 		ix.steps++
 		nn := &posNode{size: 1, prio: ix.nextPrio(), id: c.id}
+		ix.nodes = growTo(ix.nodes, c.id)
 		ix.nodes[c.id] = nn
 		var last *posNode
 		for len(spine) > 0 && spine[len(spine)-1].prio < nn.prio {
@@ -149,7 +151,7 @@ func (ix *PosIndex) build(parent *Node) {
 // onAttach is the mutation hook: child was spliced into parent's list
 // at 1-based position k.
 func (ix *PosIndex) onAttach(parent, child *Node, k int) {
-	cl := ix.lists[parent.id]
+	cl := at(ix.lists, parent.id)
 	if cl == nil {
 		return // list not built; it will be built lazily if ever ranked
 	}
@@ -158,11 +160,11 @@ func (ix *PosIndex) onAttach(parent, child *Node, k int) {
 
 // onDetach is the mutation hook: child was removed from parent's list.
 func (ix *PosIndex) onDetach(parent, child *Node) {
-	cl := ix.lists[parent.id]
+	cl := at(ix.lists, parent.id)
 	if cl == nil {
 		return
 	}
-	tn := ix.nodes[child.id]
+	tn := at(ix.nodes, child.id)
 	if tn == nil {
 		panic("tree: PosIndex.onDetach of node missing from its parent's list")
 	}
@@ -182,6 +184,7 @@ func (ix *PosIndex) nextPrio() uint32 {
 // insertAt makes id the k-th (1-based) element of cl's sequence.
 func (ix *PosIndex) insertAt(cl *childTreap, k int, id NodeID) {
 	nn := &posNode{size: 1, prio: ix.nextPrio(), id: id}
+	ix.nodes = growTo(ix.nodes, id)
 	ix.nodes[id] = nn
 	if cl.root == nil {
 		cl.root = nn
@@ -241,7 +244,7 @@ func (ix *PosIndex) remove(cl *childTreap, tn *posNode) {
 		}
 	}
 	tn.up = nil
-	delete(ix.nodes, tn.id)
+	ix.nodes[tn.id] = nil
 }
 
 // rotateUp lifts x over its parent, preserving the in-order sequence
@@ -281,7 +284,10 @@ func (ix *PosIndex) rotateUp(cl *childTreap, x *posNode) {
 // slices — a test hook.
 func (ix *PosIndex) validate() error {
 	for pid, cl := range ix.lists {
-		parent := ix.t.Node(pid)
+		if cl == nil {
+			continue
+		}
+		parent := ix.t.Node(NodeID(pid))
 		if parent == nil {
 			continue // parent deleted; its list must be empty
 		}

@@ -95,6 +95,39 @@ func TestInsertChildIDErrors(t *testing.T) {
 	}
 }
 
+// TestInsertChildIDBound: an ID more than MaxIDGap past Len (and more
+// than one past MaxID) is rejected without growing the node table; the
+// largest admissible ID is accepted and becomes the new MaxID, after
+// which the bound has not moved by a gap, so a script cannot step the
+// table up gap by gap.
+func TestInsertChildIDBound(t *testing.T) {
+	tr := NewWithRoot("r", "")
+	for _, id := range []NodeID{1 + MaxIDGap + 1, 1 << 40, 1<<63 - 1} {
+		if _, err := tr.InsertChildID(tr.Root(), 1, id, "x", ""); err == nil {
+			t.Fatalf("InsertChildID accepted ID %d with MaxID %d", id, tr.MaxID())
+		}
+	}
+	if tr.Len() != 1 || tr.MaxID() != 1 || cap(tr.nodes) > 2 {
+		t.Fatalf("rejected inserts changed the tree: Len %d, MaxID %d, table cap %d", tr.Len(), tr.MaxID(), cap(tr.nodes))
+	}
+	n, err := tr.InsertChildID(tr.Root(), 1, 1+MaxIDGap, "x", "")
+	if err != nil {
+		t.Fatalf("InsertChildID at the bound: %v", err)
+	}
+	if tr.MaxID() != n.ID() || tr.Node(n.ID()) != n {
+		t.Fatalf("MaxID %d, Node(%d) = %v after insert at the bound", tr.MaxID(), n.ID(), tr.Node(n.ID()))
+	}
+	if _, err := tr.InsertChildID(tr.Root(), 1, tr.MaxID()+MaxIDGap, "x", ""); err == nil {
+		t.Fatalf("second gap-sized step to %d accepted", tr.MaxID()+MaxIDGap)
+	}
+	if _, err := tr.InsertChildID(tr.Root(), 1, tr.MaxID()+1, "x", ""); err != nil {
+		t.Fatalf("InsertChildID at MaxID()+1: %v", err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeleteOnlyLeaves(t *testing.T) {
 	tr := buildSample(t)
 	sec := tr.Root().Child(1)

@@ -200,7 +200,9 @@ func FindMatchingFor(old, new *Tree, matcher Matcher, opts MatchOptions) (*Match
 }
 
 // NewMatching returns an empty matching for callers that construct
-// correspondences from their own identifiers.
+// correspondences from their own identifiers. Add accepts IDs up to
+// tree.MaxIDGap past those the matching already covers; call
+// Reserve(old, new) first when the trees' IDs run higher.
 func NewMatching() *Matching { return match.NewMatching() }
 
 // BuildDelta constructs the delta tree (§6) for a Diff result.

@@ -39,9 +39,9 @@ func TestWordIDsWithinAgrees(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		a, b := value(), value()
 		ia, ib := w.Tokenize(a), w.Tokenize(b)
-		if len(ia) != len(Words(a)) || len(ib) != len(Words(b)) {
+		if len(ia.IDs) != len(Words(a)) || len(ib.IDs) != len(Words(b)) {
 			t.Fatalf("Tokenize word counts %d, %d; Words gives %d, %d for %q, %q",
-				len(ia), len(ib), len(Words(a)), len(Words(b)), a, b)
+				len(ia.IDs), len(ib.IDs), len(Words(a)), len(Words(b)), a, b)
 		}
 		dist := WordLCS(a, b)
 		// The matcher's thresholds, then limits whose product with a
@@ -112,4 +112,92 @@ func TestWordLCSMatchesSliceForm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWordIDsWithinBound checks the word-bag signature reject against the
+// string comparer. Two vocabularies stress it from both sides: 100 words
+// (more than the 64 signature bits, so distinct words share a bit and the
+// bound must stay a lower bound) and 3 words (values overlap heavily, so
+// the bound rarely decides and the Myers search must). Values run from 0
+// to 30 words, some blank; limits cover the matcher's thresholds, products
+// that are inexact in floating point, MaxDistance and the exact distance.
+// Besides the verdict, it checks the bound's strength: when the bit
+// classes of one value's IDs that the other's miss already put the
+// distance past the limit, Within must decide without a Myers search,
+// which would leave the scratch diagonal array allocated.
+func TestWordIDsWithinBound(t *testing.T) {
+	wide := make([]string, 100)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("w%d", i)
+	}
+	for _, vocab := range [][]string{wide, {"x", "y", "z"}} {
+		rng := rand.New(rand.NewSource(int64(len(vocab))))
+		value := func() string {
+			n := rng.Intn(31)
+			if n > 0 && rng.Intn(8) == 0 {
+				return strings.Repeat(" ", n) // blank: no words
+			}
+			words := make([]string, n)
+			for i := range words {
+				words[i] = vocab[rng.Intn(len(vocab))]
+			}
+			return strings.Join(words, " ")
+		}
+		var w WordIDs
+		for trial := 0; trial < 3000; trial++ {
+			a, b := value(), value()
+			ta, tb := w.Tokenize(a), w.Tokenize(b)
+			dist := WordLCS(a, b)
+			n, m := len(ta.IDs), len(tb.IDs)
+			onlyA, onlyB := missingClasses(ta.IDs, tb.IDs), missingClasses(tb.IDs, ta.IDs)
+			for _, f := range []float64{0, .1, .25, .3, .5, .6, .7, .75, 1, 2, dist} {
+				w.scratch = nil
+				if got, want := w.Within(ta, tb, f), dist <= f; got != want {
+					t.Fatalf("vocabulary of %d: Within(%q, %q, %v) = %v; WordLCS = %v",
+						len(vocab), a, b, f, got, dist)
+				}
+				maxD := int(f*float64(max(n, m)) + 1e-9)
+				if n > 0 && m > 0 && max(m-n+2*onlyA, n-m+2*onlyB) > maxD && w.scratch != nil {
+					t.Fatalf("vocabulary of %d: Within(%q, %q, %v) ran a Myers search the signature bound decides",
+						len(vocab), a, b, f)
+				}
+			}
+		}
+	}
+}
+
+// missingClasses counts the signature bit classes (id & 63) of the IDs in
+// a that no ID in b falls in.
+func missingClasses(a, b []uint32) int {
+	var inB [64]bool
+	for _, id := range b {
+		inB[id&63] = true
+	}
+	var seen [64]bool
+	k := 0
+	for _, id := range a {
+		if c := id & 63; !inB[c] && !seen[c] {
+			seen[c] = true
+			k++
+		}
+	}
+	return k
+}
+
+// FuzzWordIDsWithin checks WordIDs.Within against WordLCS on arbitrary
+// value pairs; the limit byte spans [0, 2] in steps of 1/128.
+func FuzzWordIDsWithin(f *testing.F) {
+	f.Add("", "", byte(0))
+	f.Add("a", "", byte(255))
+	f.Add("the quick brown fox", "the slow brown fox", byte(64))
+	f.Add("a b c d", "d c b a", byte(96))
+	f.Add("x x x y", "y x x x x", byte(32))
+	f.Add(" a b\xff", "b a", byte(128))
+	f.Fuzz(func(t *testing.T, a, b string, lim byte) {
+		limit := float64(lim) / 128
+		var w WordIDs
+		if got, want := w.Within(w.Tokenize(a), w.Tokenize(b), limit), WordLCS(a, b) <= limit; got != want {
+			t.Fatalf("Within(%q, %q, %v) = %v; WordLCS = %v", a, b, limit, got, WordLCS(a, b))
+		}
+	})
 }

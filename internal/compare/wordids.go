@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 
@@ -56,6 +57,15 @@ func NextWord(s string, i int) (start, end int) {
 	return start, i
 }
 
+// Tokens is a tokenized value: its word IDs and their word-bag
+// signature, in which bit id&63 is set for each ID. Equal words set equal
+// bits, so a bit set in one signature and clear in another marks words of
+// the first value that occur nowhere in the second.
+type Tokens struct {
+	IDs []uint32
+	Bag uint64
+}
+
 // WordIDs tokenizes values into interned word IDs and decides the
 // word-LCS threshold test of Matching Criterion 1 over them. Each value
 // is split once, with the word boundaries of Words, into a []uint32 in
@@ -72,13 +82,14 @@ type WordIDs struct {
 	scratch []int
 }
 
-// Tokenize returns the word IDs of s. The slice is read-only to the
-// caller and stays valid for the life of w.
-func (w *WordIDs) Tokenize(s string) []uint32 {
+// Tokenize returns the word IDs of s and their signature. The IDs are
+// read-only to the caller and stay valid for the life of w.
+func (w *WordIDs) Tokenize(s string) Tokens {
 	if w.ids == nil {
 		w.ids = make(map[string]uint32)
 	}
 	start := len(w.arena)
+	var bag uint64
 	for i := 0; ; {
 		ws, we := NextWord(s, i)
 		if ws == we {
@@ -90,37 +101,54 @@ func (w *WordIDs) Tokenize(s string) []uint32 {
 			w.ids[s[ws:we]] = id
 		}
 		w.arena = append(w.arena, id)
+		bag |= 1 << (id & 63)
 		i = we
 	}
-	return w.arena[start:len(w.arena):len(w.arena)]
+	return Tokens{IDs: w.arena[start:len(w.arena):len(w.arena)], Bag: bag}
 }
 
 // Within reports whether the word-LCS distance of the values a and b
 // were tokenized from is at most limit: it agrees with
 // WordLCS(va, vb) <= limit for every pair of values and every limit in
-// [0, 2]. The distance is D / max(len(a), len(b)), where
-// D = len(a) + len(b) − 2·|LCS| is exactly Myers' edit distance, so the
-// search stops as soon as D provably exceeds limit·max — O((n+m)·limit·max)
-// work instead of the O((n+m)·D) of a full computation, a large saving
-// on the dissimilar pairs that dominate matching.
-func (w *WordIDs) Within(a, b []uint32, limit float64) bool {
-	if len(a) == 0 && len(b) == 0 {
+// [0, 2]. The distance is D / max(n, m) for n = len(a.IDs) and
+// m = len(b.IDs), where D = n + m − 2·|LCS| is exactly Myers' edit
+// distance, so the question is whether D ≤ maxD = limit·max(n, m).
+//
+// Most pairs a matcher tests are unrelated, and the signatures reject
+// them in O(1). Let k = popcount(a.Bag &^ b.Bag). Every word of a whose
+// bit is clear in b.Bag occurs nowhere in b, so it is in no LCS, and each
+// of the k bits stands for at least one such word of a; hence
+// |LCS| ≤ n − k and D ≥ m − n + 2k. The same holds with a and b swapped,
+// so L = max(m − n + 2·popcount(a.Bag &^ b.Bag),
+// n − m + 2·popcount(b.Bag &^ a.Bag)) is a lower bound on D, and L > maxD
+// decides "no" exactly. Pairs the bound admits run the Myers search,
+// which stops as soon as D provably exceeds maxD — O((n+m)·maxD) work
+// instead of the O((n+m)·D) of a full computation.
+func (w *WordIDs) Within(a, b Tokens, limit float64) bool {
+	n, m := len(a.IDs), len(b.IDs)
+	if n == 0 && m == 0 {
 		return limit >= 0
 	}
-	if len(a) == 0 || len(b) == 0 {
+	if n == 0 || m == 0 {
 		return MaxDistance <= limit
 	}
 	// D ≤ limit·maxLen, with a nudge so exact threshold products that
 	// round just below an integer still admit it (D is integral).
-	maxD := int(limit*float64(max(len(a), len(b))) + 1e-9)
+	maxD := int(limit*float64(max(n, m)) + 1e-9)
+	onlyA := bits.OnesCount64(a.Bag &^ b.Bag)
+	onlyB := bits.OnesCount64(b.Bag &^ a.Bag)
+	if max(m-n+2*onlyA, n-m+2*onlyB) > maxD {
+		return false
+	}
+	x, y := a.IDs, b.IDs
 	// A common prefix or suffix is part of some LCS, so stripping it
 	// leaves D unchanged and shrinks the search to the edited middle.
-	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
-		a, b = a[1:], b[1:]
+	for len(x) > 0 && len(y) > 0 && x[0] == y[0] {
+		x, y = x[1:], y[1:]
 	}
-	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
-		a, b = a[:len(a)-1], b[:len(b)-1]
+	for len(x) > 0 && len(y) > 0 && x[len(x)-1] == y[len(y)-1] {
+		x, y = x[:len(x)-1], y[:len(y)-1]
 	}
-	_, ok := lcs.DistanceWithin(a, b, maxD, &w.scratch)
+	_, ok := lcs.DistanceWithin(x, y, maxD, &w.scratch)
 	return ok
 }

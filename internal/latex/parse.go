@@ -307,6 +307,13 @@ func sentence(span string, clean bool) string {
 var abbreviations = []string{"e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec"}
 
 func isSentenceEnd(word string) bool {
+	// Most words end in a letter: only a terminator or closing
+	// punctuation can end a sentence-ending word (never empty).
+	switch word[len(word)-1] {
+	case '.', '!', '?', ')', ']', '}', '\'', '"':
+	default:
+		return false
+	}
 	// Strip closing punctuation that may follow the terminator.
 	w := word
 	for len(w) > 0 && strings.IndexByte(`)]}'"`, w[len(w)-1]) >= 0 {

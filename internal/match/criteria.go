@@ -29,9 +29,10 @@ type Options struct {
 	// Compare measures leaf-value distance in [0,2]. Nil means the
 	// word-LCS sentence comparer LaDiff uses (§7), which the matcher
 	// evaluates on interned word IDs (compare.WordIDs): each value is
-	// tokenized once per run and every Criterion 1 test is a bounded
-	// Myers search over integers. A non-nil comparer is called on the
-	// two value strings for every leaf compare.
+	// tokenized once per run into IDs and a word-bag signature, and every
+	// Criterion 1 test is an O(1) signature bound, then, for the pairs it
+	// admits, a bounded Myers search over integers. A non-nil comparer is
+	// called on the two value strings for every leaf compare.
 	Compare compare.Func
 	// LeafThreshold is f in Matching Criterion 1: leaves may match only
 	// when Compare(v(x), v(y)) ≤ f. Zero means DefaultLeafThreshold;
@@ -179,9 +180,10 @@ type matcher struct {
 	// words interns the words of compared values and runs the
 	// Criterion 1 kernel; nil when Options.Compare is a custom comparer,
 	// which then sees the value strings. ids1/ids2 cache each node's
-	// word IDs per tree, indexed by NodeID (nil = not yet tokenized).
+	// word IDs and signature per tree, indexed by NodeID, so a signature
+	// is computed once per run (nil IDs = not yet tokenized).
 	words      *compare.WordIDs
-	ids1, ids2 [][]uint32
+	ids1, ids2 []compare.Tokens
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
@@ -283,8 +285,8 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 	mr.m.Reserve(t1, t2)
 	if wordLCS {
 		mr.words = &compare.WordIDs{}
-		mr.ids1 = make([][]uint32, t1.MaxID()+1)
-		mr.ids2 = make([][]uint32, t2.MaxID()+1)
+		mr.ids1 = make([]compare.Tokens, t1.MaxID()+1)
+		mr.ids2 = make([]compare.Tokens, t2.MaxID()+1)
 	}
 	return mr, nil
 }
@@ -297,26 +299,28 @@ func (mr *matcher) add(x, y *tree.Node) {
 	}
 }
 
-// wordIDs returns n's value as word IDs, tokenizing it on first use.
-func (mr *matcher) wordIDs(n *tree.Node, inOld bool) []uint32 {
+// tokens returns n's value as word IDs and signature, tokenizing it on
+// first use.
+func (mr *matcher) tokens(n *tree.Node, inOld bool) compare.Tokens {
 	cache := mr.ids2
 	if inOld {
 		cache = mr.ids1
 	}
-	ids := cache[n.ID()]
-	if ids == nil {
-		ids = mr.words.Tokenize(n.Value())
-		if ids == nil {
-			ids = []uint32{} // a non-nil empty slice marks "tokenized"
+	tok := &cache[n.ID()]
+	if tok.IDs == nil {
+		*tok = mr.words.Tokenize(n.Value())
+		if tok.IDs == nil {
+			tok.IDs = []uint32{} // a non-nil empty slice marks "tokenized"
 		}
-		cache[n.ID()] = ids
 	}
-	return ids
+	return *tok
 }
 
 // leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
 // charging one logical leaf compare (r1). Byte-identical values are at
-// distance 0 without tokenizing either.
+// distance 0 without tokenizing either. A pair the word-bag signatures
+// reject without a Myers search still counts and charges as one compare:
+// r1 counts the compares FastMatch asks, not how each was decided.
 func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	mr.opts.Stats.LeafCompares++
 	mr.opts.Stats.EffectiveLeafCompares++
@@ -327,7 +331,7 @@ func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	if x.Value() == y.Value() {
 		return true
 	}
-	return mr.words.Within(mr.wordIDs(x, true), mr.wordIDs(y, false), mr.opts.LeafThreshold)
+	return mr.words.Within(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
 }
 
 // equalLeaves is the leaf equality of §5.2: same label and

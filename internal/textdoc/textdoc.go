@@ -7,6 +7,7 @@ package textdoc
 import (
 	"strings"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/fault"
 	"ladiff/internal/gen"
 	"ladiff/internal/latex"
@@ -46,18 +47,37 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 	t.Restrict(lim)
 	defer t.Unrestrict()
 	t.SetRoot(gen.LabelDocument, "")
-	for _, block := range strings.Split(normalizeNewlines(src), "\n\n") {
+	// One scan over the lines finds each paragraph: a maximal run of
+	// lines holding a word. A line with no word (white space alone, '\r'
+	// included) ends the run, so CRLF input needs no separate pass.
+	paragraph := func(span string) {
 		// SplitSentences may return substrings of its input. Cloning the
-		// block first keeps a surviving sentence (in a stored script or
+		// span first keeps a surviving sentence (in a stored script or
 		// tree) from pinning the whole source document.
-		sentences := latex.SplitSentences(strings.Clone(block))
-		if len(sentences) == 0 {
-			continue
-		}
 		para := t.AppendChild(t.Root(), gen.LabelParagraph, "")
-		for _, s := range sentences {
+		for _, s := range latex.SplitSentences(strings.Clone(span)) {
 			t.AppendChild(para, gen.LabelSentence, s)
 		}
+	}
+	start, end := -1, 0 // span of the open paragraph; start < 0 when none is open
+	for i := 0; i <= len(src); {
+		eol := len(src)
+		if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+			eol = i + j
+		}
+		if ws, we := compare.NextWord(src[:eol], i); ws < we {
+			if start < 0 {
+				start = ws
+			}
+			end = eol
+		} else if start >= 0 {
+			paragraph(src[start:end])
+			start = -1
+		}
+		i = eol + 1
+	}
+	if start >= 0 {
+		paragraph(src[start:end])
 	}
 	return t, nil
 }
@@ -93,23 +113,4 @@ func Render(t *tree.Tree) string {
 		rec(t.Root())
 	}
 	return strings.TrimRight(b.String(), "\n") + "\n"
-}
-
-func normalizeNewlines(s string) string {
-	s = strings.ReplaceAll(s, "\r\n", "\n")
-	// Collapse blocks separated by lines of pure whitespace.
-	var out []string
-	blank := true
-	for _, line := range strings.Split(s, "\n") {
-		if strings.TrimSpace(line) == "" {
-			if !blank {
-				out = append(out, "")
-			}
-			blank = true
-			continue
-		}
-		blank = false
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
 }

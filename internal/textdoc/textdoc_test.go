@@ -3,6 +3,7 @@ package textdoc_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ladiff/internal/core"
 	"ladiff/internal/gen"
@@ -43,6 +44,27 @@ func TestCRLFNormalization(t *testing.T) {
 	doc := textdoc.Parse("One.\r\n\r\nTwo.")
 	if doc.Root().NumChildren() != 2 {
 		t.Fatalf("CRLF input parsed into %d paragraphs, want 2", doc.Root().NumChildren())
+	}
+}
+
+// TestSentencesDoNotPinSource checks that no sentence value shares the
+// source string's backing array. SplitSentences returns substrings of its
+// input, so Parse must split a copy of each paragraph: a sentence kept in
+// a stored tree or script then pins its paragraph, never the document.
+func TestSentencesDoNotPinSource(t *testing.T) {
+	src := strings.Repeat("Clean sentence one. Spaced   sentence\r\ntwo!\n\n", 3) + "Tail words"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	n := 0
+	for _, leaf := range textdoc.Parse(src).Leaves() {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(leaf.Value())))
+		if p >= lo && p < hi {
+			t.Errorf("sentence %q lies inside the source string", leaf.Value())
+		}
+		n++
+	}
+	if n != 7 {
+		t.Fatalf("parsed %d sentences, want 7", n)
 	}
 }
 

@@ -2,19 +2,24 @@ package compare
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
-// TestWordIDsWithinAgrees checks the interned-ID kernel of Matching
-// Criterion 1 against the string comparer it replaces: for random values
-// over a small vocabulary, joined by mixed Unicode white space and
-// sometimes empty, WordIDs.Within must answer WordLCS(a, b) <= f for
-// limits across the range the matcher accepts and beyond. One WordIDs
+// TestWordIDsWithinAgrees checks the signature and interned-ID kernel of
+// Matching Criterion 1 against the string comparer it replaces: for
+// random values over a small vocabulary, joined by mixed Unicode white
+// space and sometimes empty, WordIDs.Within must answer WordLCS(a, b) <= f
+// for limits across the range the matcher accepts and beyond. One WordIDs
 // serves every trial, so its interner and scratch buffer carry state
-// across pairs exactly as they do within a matching run.
+// across pairs exactly as they do within a matching run. Signature must
+// count the words of Words and set exactly their hash bits.
 func TestWordIDsWithinAgrees(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "Gamma", "delta", "épsilon", "\xff"}
 	spaces := []string{" ", "  ", "\t", "\n", "\u0085", "\u00a0", "\u2003", "\u3000"}
@@ -38,17 +43,22 @@ func TestWordIDsWithinAgrees(t *testing.T) {
 	var w WordIDs
 	for trial := 0; trial < 2000; trial++ {
 		a, b := value(), value()
-		ia, ib := w.Tokenize(a), w.Tokenize(b)
-		if len(ia.IDs) != len(Words(a)) || len(ib.IDs) != len(Words(b)) {
-			t.Fatalf("Tokenize word counts %d, %d; Words gives %d, %d for %q, %q",
-				len(ia.IDs), len(ib.IDs), len(Words(a)), len(Words(b)), a, b)
+		sa, sb := Signature(a), Signature(b)
+		for _, c := range []struct {
+			v  string
+			sg Sig
+		}{{a, sa}, {b, sb}} {
+			if int(c.sg.N) != len(Words(c.v)) || c.sg.Bag != referenceBag(Words(c.v)) {
+				t.Fatalf("Signature(%q) = %d words, bag %#x; Words gives %d, bag %#x",
+					c.v, c.sg.N, c.sg.Bag, len(Words(c.v)), referenceBag(Words(c.v)))
+			}
 		}
 		dist := WordLCS(a, b)
 		// The matcher's thresholds, then limits whose product with a
 		// word count is not exact in floating point, and the distance
 		// itself.
 		for _, f := range []float64{0, 0.25, 0.5, 0.75, 1, 0.1, 0.3, 0.6, 0.7, dist} {
-			if got, want := w.Within(ia, ib, f), dist <= f; got != want {
+			if got, want := w.Within(a, b, &sa, &sb, f), dist <= f; got != want {
 				t.Fatalf("Within(%q, %q, %v) = %v; WordLCS = %v", a, b, f, got, dist)
 			}
 		}
@@ -60,14 +70,14 @@ func TestWordIDsWithinAgrees(t *testing.T) {
 // value of white space alone is empty.
 func TestWordIDsWithinEmpty(t *testing.T) {
 	var w WordIDs
-	empty, blank, word := w.Tokenize(""), w.Tokenize(" \u00a0\t"), w.Tokenize("a")
-	if !w.Within(empty, blank, 0) {
+	empty, blank, word := Signature(""), Signature(" \u00a0\t"), Signature("a")
+	if !w.Within("", " \u00a0\t", &empty, &blank, 0) {
 		t.Error("empty vs blank within 0: want true")
 	}
-	if w.Within(word, empty, 1) {
+	if w.Within("a", "", &word, &empty, 1) {
 		t.Error("nonempty vs empty within 1: want false (distance is 2)")
 	}
-	if !w.Within(word, empty, MaxDistance) {
+	if !w.Within("a", "", &word, &empty, MaxDistance) {
 		t.Error("nonempty vs empty within 2: want true")
 	}
 }
@@ -94,6 +104,50 @@ func TestNextWordMatchesFields(t *testing.T) {
 			t.Errorf("NextWord words of %q = %q, want %q", s, got, want)
 		}
 	}
+}
+
+// TestSpaceHelpersMatchUnicode pins the exported white-space helpers to
+// unicode.IsSpace, the definition strings.Fields uses.
+func TestSpaceHelpersMatchUnicode(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		if got, want := IsASCIISpace(byte(c)), c < utf8.RuneSelf && unicode.IsSpace(rune(c)); got != want {
+			t.Errorf("IsASCIISpace(%#x) = %v, want %v", c, got, want)
+		}
+	}
+	for _, s := range []string{" ", "x", "\t", "\u0085", "\u00a0", "\u2003", "\u3000", "\ufeff", "é", "\xff", "\xc3", "\xe2\x80"} {
+		r, w := utf8.DecodeRuneInString(s)
+		if space, width := SpaceAt(s, 0); space != unicode.IsSpace(r) || width != w {
+			t.Errorf("SpaceAt(%q, 0) = %v, %d, want %v, %d", s, space, width, unicode.IsSpace(r), w)
+		}
+	}
+}
+
+// TestWithinRefusesForeignSig: a Sig records the WordIDs that interned
+// its value, and another WordIDs refuses it instead of reading its own
+// arena at that span.
+func TestWithinRefusesForeignSig(t *testing.T) {
+	a, b := "one two three", "one two four"
+	sa, sb := Signature(a), Signature(b)
+	if _, decided := Decide(sa, sb, 1); decided {
+		t.Fatal("Decide settled the pair; the test needs one that is interned")
+	}
+	var w1, w2 WordIDs
+	if !w1.Within(a, b, &sa, &sb, 1) || !w1.Within(a, b, &sa, &sb, 1) {
+		t.Fatal("distance 2/3 within 1: want true, also on reuse")
+	}
+	// Give w2 an arena long enough that the span would not be out of
+	// range there.
+	c, d := "five six seven eight", "five six seven nine"
+	sc, sd := Signature(c), Signature(d)
+	if !w2.Within(c, d, &sc, &sd, 1) {
+		t.Fatal("distance 2/4 within 1: want true")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Within with another WordIDs' Sig did not panic")
+		}
+	}()
+	w2.Within(a, b, &sa, &sb, 1)
 }
 
 // TestWordLCSMatchesSliceForm pins the refactoring invariant that
@@ -124,7 +178,8 @@ func TestWordLCSMatchesSliceForm(t *testing.T) {
 // Besides the verdict, it checks the bound's strength: when the bit
 // classes of one value's IDs that the other's miss already put the
 // distance past the limit, Within must decide without a Myers search,
-// which would leave the scratch diagonal array allocated.
+// which would leave the scratch diagonal array allocated, and without
+// interning either value.
 func TestWordIDsWithinBound(t *testing.T) {
 	wide := make([]string, 100)
 	for i := range wide {
@@ -146,18 +201,19 @@ func TestWordIDsWithinBound(t *testing.T) {
 		var w WordIDs
 		for trial := 0; trial < 3000; trial++ {
 			a, b := value(), value()
-			ta, tb := w.Tokenize(a), w.Tokenize(b)
 			dist := WordLCS(a, b)
-			n, m := len(ta.IDs), len(tb.IDs)
-			onlyA, onlyB := missingClasses(ta.IDs, tb.IDs), missingClasses(tb.IDs, ta.IDs)
+			wa, wb := Words(a), Words(b)
+			n, m := len(wa), len(wb)
+			onlyA, onlyB := missingClasses(wa, wb), missingClasses(wb, wa)
 			for _, f := range []float64{0, .1, .25, .3, .5, .6, .7, .75, 1, 2, dist} {
 				w.scratch = nil
-				if got, want := w.Within(ta, tb, f), dist <= f; got != want {
+				sa, sb := Signature(a), Signature(b)
+				if got, want := w.Within(a, b, &sa, &sb, f), dist <= f; got != want {
 					t.Fatalf("vocabulary of %d: Within(%q, %q, %v) = %v; WordLCS = %v",
 						len(vocab), a, b, f, got, dist)
 				}
 				maxD := int(f*float64(max(n, m)) + 1e-9)
-				if n > 0 && m > 0 && max(m-n+2*onlyA, n-m+2*onlyB) > maxD && w.scratch != nil {
+				if n > 0 && m > 0 && max(m-n+2*onlyA, n-m+2*onlyB) > maxD && (w.scratch != nil || sa.end != 0 || sb.end != 0) {
 					t.Fatalf("vocabulary of %d: Within(%q, %q, %v) ran a Myers search the signature bound decides",
 						len(vocab), a, b, f)
 				}
@@ -166,22 +222,22 @@ func TestWordIDsWithinBound(t *testing.T) {
 	}
 }
 
-// missingClasses counts the signature bit classes (id & 63) of the IDs in
-// a that no ID in b falls in.
-func missingClasses(a, b []uint32) int {
-	var inB [64]bool
-	for _, id := range b {
-		inB[id&63] = true
+// missingClasses counts the signature bit classes of the words in a that
+// no word in b falls in.
+func missingClasses(a, b []string) int {
+	return bits.OnesCount64(referenceBag(a) &^ referenceBag(b))
+}
+
+// referenceBag is the word-bag signature of words by hash/fnv: each word
+// sets the bit bagBit maps its FNV-1a 64 hash to.
+func referenceBag(words []string) uint64 {
+	var bag uint64
+	for _, word := range words {
+		h := fnv.New64a()
+		h.Write([]byte(word))
+		bag |= bagBit(h.Sum64())
 	}
-	var seen [64]bool
-	k := 0
-	for _, id := range a {
-		if c := id & 63; !inB[c] && !seen[c] {
-			seen[c] = true
-			k++
-		}
-	}
-	return k
+	return bag
 }
 
 // FuzzWordIDsWithin checks WordIDs.Within against WordLCS on arbitrary
@@ -196,7 +252,8 @@ func FuzzWordIDsWithin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b string, lim byte) {
 		limit := float64(lim) / 128
 		var w WordIDs
-		if got, want := w.Within(w.Tokenize(a), w.Tokenize(b), limit), WordLCS(a, b) <= limit; got != want {
+		sa, sb := Signature(a), Signature(b)
+		if got, want := w.Within(a, b, &sa, &sb, limit), WordLCS(a, b) <= limit; got != want {
 			t.Fatalf("Within(%q, %q, %v) = %v; WordLCS = %v", a, b, limit, got, WordLCS(a, b))
 		}
 	})

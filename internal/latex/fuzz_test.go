@@ -69,9 +69,14 @@ func FuzzParse(f *testing.F) {
 // FuzzSplitSentences pins SplitSentences byte for byte to the reference
 // splitter below: strings.Fields, then strings.Join of each sentence's
 // words, with the abbreviation guard applied to strings.ToLower of the
-// candidate. The seeds cover Unicode white space the ASCII fast path must
-// not miss (U+0085, U+00A0, U+2003), invalid UTF-8, and words whose
-// Unicode lower-casing differs from ASCII folding.
+// candidate. The seeds cover Unicode white space the byte scan must not
+// miss (U+0085, U+00A0, U+2003, also right before and after a period),
+// invalid UTF-8, words whose Unicode lower-casing differs from ASCII
+// folding, and the cases where the scan's stop bytes and separator
+// tracking could drift from the words: a doubled space inside a sentence,
+// a period inside a word, a word of closers alone, text that ends on a
+// terminator or in a white-space run, and control bytes that are not
+// white space.
 func FuzzSplitSentences(f *testing.F) {
 	for _, s := range []string{"", "One. Two!", "e.g. kept", "a?b", "trailing",
 		"One.\u0085Two. Three\u00a0four.\u2003Five.",
@@ -79,6 +84,13 @@ func FuzzSplitSentences(f *testing.F) {
 		"Mſ. Smith left. \u212A. Next. DR. Who. e.G. this. MRS. X.",
 		"  spaced   out.\tTabs\nand\r\nbreaks.  ",
 		"(Parenthesized end.) \"Quoted!\" Next?",
+		"double  space mid sentence. Next.",
+		"a.b c.",
+		"closers )) alone. ))",
+		"ends on a terminator!",
+		"ctl\x01in words. and\x1fhere.",
+		"nbsp\u00a0. em\u2003.\u00a0after.\u2003Next.",
+		"trailing run.  \n",
 	} {
 		f.Add(s)
 	}

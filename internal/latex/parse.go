@@ -255,31 +255,89 @@ func (p *parser) flushParagraph() {
 // Whitespace is normalized to single spaces. Words are those of
 // strings.Fields. A sentence whose words are already separated by single
 // spaces is returned as a substring of text; only the others are built.
+//
+// Only a word whose last byte is in `.!?)]}'"` can end a sentence, so the
+// scan stops at those bytes, at white space other than ' ' and at bytes
+// of 0x80 and above, and steps over everything else. At one of the eight
+// it takes the word from the last separator to the next white space and
+// asks isSentenceEnd; a ' ' only records where the next word starts and
+// whether it doubles the separator before it.
 func SplitSentences(text string) []string {
+	text = compare.TrimSpaceRight(text)
 	var out []string
-	start, end := -1, 0 // span of the open sentence; start < 0 when none is open
-	clean := true       // every separator inside the open sentence is one ' '
-	for i := 0; ; {
-		ws, we := compare.NextWord(text, i)
-		if ws == we {
-			break
-		}
-		if start < 0 {
-			start, clean = ws, true
-		} else if ws != end+1 || text[end] != ' ' {
+	start := compare.SkipSpace(text, 0) // first byte of the open sentence
+	ws := start                         // first byte of the current word
+	clean := true                       // every separator since start is one ' '
+	for i := start; i < len(text); {
+		switch scanClass[text[i]] {
+		case inWord, blank:
+			// Word bytes and spaces are most of the text: step over them
+			// without returning to the switch.
+			for ; i < len(text); i++ {
+				k := scanClass[text[i]]
+				if k == inWord {
+					continue
+				}
+				if k != blank {
+					break
+				}
+				if ws == i {
+					clean = false // the byte before is a separator too
+				}
+				ws = i + 1
+			}
+		case otherSpace:
 			clean = false
-		}
-		end, i = we, we
-		if isSentenceEnd(text[ws:we]) {
-			out = append(out, sentence(text[start:end], clean))
-			start = -1
+			i++
+			ws = i
+		case nonASCII:
+			space, w := compare.SpaceAt(text, i)
+			i += w
+			if space {
+				clean = false
+				ws = i
+			}
+		case closer:
+			we := compare.WordEnd(text, i)
+			i = we
+			if !isSentenceEnd(text[ws:we]) {
+				continue
+			}
+			out = append(out, sentence(text[start:we], clean))
+			start = compare.SkipSpace(text, we)
+			i, ws, clean = start, start, true
 		}
 	}
-	if start >= 0 {
-		out = append(out, sentence(text[start:end], clean))
+	if start < len(text) {
+		out = append(out, sentence(text[start:], clean))
 	}
 	return out
 }
+
+// Byte classes of the SplitSentences scan.
+const (
+	inWord     = iota // any other byte: part of a word
+	blank             // ' '
+	otherSpace        // ASCII white space other than ' '
+	nonASCII          // 0x80 and above: starts or continues a multi-byte rune
+	closer            // a byte that may end a sentence-ending word
+)
+
+var scanClass = func() (t [256]uint8) {
+	for _, c := range []byte(".!?)]}'\"") {
+		t[c] = closer
+	}
+	for c := range utf8.RuneSelf {
+		if compare.IsASCIISpace(byte(c)) {
+			t[c] = otherSpace
+		}
+	}
+	t[' '] = blank
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = nonASCII
+	}
+	return t
+}()
 
 // sentence returns span, which starts and ends with a word, with its
 // words joined by single spaces.

@@ -28,11 +28,12 @@ const (
 type Options struct {
 	// Compare measures leaf-value distance in [0,2]. Nil means the
 	// word-LCS sentence comparer LaDiff uses (§7), which the matcher
-	// evaluates on interned word IDs (compare.WordIDs): each value is
-	// tokenized once per run into IDs and a word-bag signature, and every
-	// Criterion 1 test is an O(1) signature bound, then, for the pairs it
-	// admits, a bounded Myers search over integers. A non-nil comparer is
-	// called on the two value strings for every leaf compare.
+	// evaluates with compare.WordIDs: each compared value is scanned once
+	// per run into its word count and a word-bag signature of hashed
+	// words, and every Criterion 1 test is an O(1) signature bound. Only
+	// the pairs the bound admits are interned into word IDs, once per
+	// value, and run a bounded Myers search over integers. A non-nil
+	// comparer is called on the two value strings for every leaf compare.
 	Compare compare.Func
 	// LeafThreshold is f in Matching Criterion 1: leaves may match only
 	// when Compare(v(x), v(y)) ≤ f. Zero means DefaultLeafThreshold;
@@ -177,13 +178,12 @@ type matcher struct {
 	idx1, idx2 *tree.Index
 	opts       Options
 	m          *Matching
-	// words interns the words of compared values and runs the
-	// Criterion 1 kernel; nil when Options.Compare is a custom comparer,
-	// which then sees the value strings. ids1/ids2 cache each node's
-	// word IDs and signature per tree, indexed by NodeID, so a signature
-	// is computed once per run (nil IDs = not yet tokenized).
-	words      *compare.WordIDs
-	ids1, ids2 []compare.Tokens
+	// words runs the Criterion 1 kernel; nil when Options.Compare is a
+	// custom comparer, which then sees the value strings. sigs1/sigs2
+	// cache each node's signature per tree, indexed by NodeID, so a value
+	// is scanned once per run and interned at most once.
+	words        *compare.WordIDs
+	sigs1, sigs2 []compare.Sig
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
@@ -285,8 +285,8 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 	mr.m.Reserve(t1, t2)
 	if wordLCS {
 		mr.words = &compare.WordIDs{}
-		mr.ids1 = make([]compare.Tokens, t1.MaxID()+1)
-		mr.ids2 = make([]compare.Tokens, t2.MaxID()+1)
+		mr.sigs1 = make([]compare.Sig, t1.MaxID()+1)
+		mr.sigs2 = make([]compare.Sig, t2.MaxID()+1)
 	}
 	return mr, nil
 }
@@ -299,26 +299,23 @@ func (mr *matcher) add(x, y *tree.Node) {
 	}
 }
 
-// tokens returns n's value as word IDs and signature, tokenizing it on
-// first use.
-func (mr *matcher) tokens(n *tree.Node, inOld bool) compare.Tokens {
-	cache := mr.ids2
+// sig returns the cached signature of n's value, computing it on first
+// use.
+func (mr *matcher) sig(n *tree.Node, inOld bool) *compare.Sig {
+	cache := mr.sigs2
 	if inOld {
-		cache = mr.ids1
+		cache = mr.sigs1
 	}
-	tok := &cache[n.ID()]
-	if tok.IDs == nil {
-		*tok = mr.words.Tokenize(n.Value())
-		if tok.IDs == nil {
-			tok.IDs = []uint32{} // a non-nil empty slice marks "tokenized"
-		}
+	sg := &cache[n.ID()]
+	if !sg.Done {
+		*sg = compare.Signature(n.Value())
 	}
-	return *tok
+	return sg
 }
 
 // leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
 // charging one logical leaf compare (r1). Byte-identical values are at
-// distance 0 without tokenizing either. A pair the word-bag signatures
+// distance 0 without scanning either. A pair the word-bag signatures
 // reject without a Myers search still counts and charges as one compare:
 // r1 counts the compares FastMatch asks, not how each was decided.
 func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
@@ -331,7 +328,7 @@ func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	if x.Value() == y.Value() {
 		return true
 	}
-	return mr.words.Within(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
+	return mr.words.Within(x.Value(), y.Value(), mr.sig(x, true), mr.sig(y, false), mr.opts.LeafThreshold)
 }
 
 // equalLeaves is the leaf equality of §5.2: same label and

@@ -17,7 +17,8 @@ import (
 // webhook against a flapping 503 endpoint), polls, and racing cancels,
 // with injected failures at the scheduling core's two new fault points
 // — sched.acquire (admission) and job.persist (submission). It then
-// drains the server with jobs still gated in flight. The invariants:
+// turns injection off, checks the TTL sweep, and drains the server with
+// jobs still gated in flight. The invariants:
 //
 //   - exactly-once job accounting: every submit got exactly one of
 //     {submitted, rejected}; after drain, submitted == done + failed +
@@ -163,6 +164,17 @@ func TestChaosBatchJobStorm(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The injectors really fired during the storm. The legs below assert
+	// on the fate of specific requests, so they run with injection off:
+	// the plan's one RNG is drawn in hit order, and an injector could
+	// otherwise refuse the sweep-triggering submit or fail a burst job
+	// before it reaches the gate.
+	hits := fault.Hits()
+	if hits[fault.SchedAcquire] == 0 || hits[fault.JobPersist] == 0 {
+		t.Errorf("fault hits = %v, want both sched.acquire and job.persist exercised", hits)
+	}
+	deactivate()
+
 	// TTL leg: a terminal job outlives its retention only until the
 	// next sweep-triggering read.
 	waitFor(t, "some job to finish", func() bool { return s.met.Jobs.Done.Load() > 0 })
@@ -174,7 +186,7 @@ func TestChaosBatchJobStorm(t *testing.T) {
 		accepted++
 	}
 	mu.Unlock()
-	if status != http.StatusAccepted && status != http.StatusInternalServerError {
+	if status != http.StatusAccepted {
 		t.Errorf("sweep submit status %d: %s", status, body)
 	}
 	waitFor(t, "ttl sweep", func() bool { return s.met.Jobs.Expired.Load() > 0 })
@@ -199,7 +211,8 @@ func TestChaosBatchJobStorm(t *testing.T) {
 		submits++
 		mu.Unlock()
 		if status != http.StatusAccepted {
-			continue // injected job.persist fault: counted rejected
+			t.Errorf("burst submit status %d: %s", status, body)
+			continue
 		}
 		var st JobStatus
 		if json.Unmarshal(body, &st) == nil {
@@ -278,11 +291,5 @@ func TestChaosBatchJobStorm(t *testing.T) {
 		if delivered[id] > 0 {
 			t.Errorf("drain-canceled job %s delivered its webhook", id)
 		}
-	}
-
-	// The injectors really fired.
-	hits := fault.Hits()
-	if hits[fault.SchedAcquire] == 0 || hits[fault.JobPersist] == 0 {
-		t.Errorf("fault hits = %v, want both sched.acquire and job.persist exercised", hits)
 	}
 }

@@ -37,6 +37,13 @@ func FuzzParse(f *testing.F) {
 		"Above.\n\u2003 \u2003\nBelow.",
 		"bad \xff utf8.\n\xc3\n\n\xfe\xfe",
 		"no trailing newline. Last words",
+		"double  space mid sentence. Next.",
+		"a.b c.",
+		"closers )) alone. ))",
+		"ends on a terminator!",
+		"ctl\x01in words. and\x1fhere.",
+		"nbsp\u00a0. em\u2003.\u00a0after.\u2003Next.",
+		"trailing run.  \n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -65,7 +65,7 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 		if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
 			eol = i + j
 		}
-		if ws, we := compare.NextWord(src[:eol], i); ws < we {
+		if ws := compare.SkipSpace(src[:eol], i); ws < eol {
 			if start < 0 {
 				start = ws
 			}

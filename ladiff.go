@@ -72,7 +72,9 @@ type (
 	// MatchOptions configures the Good Matching criteria (§5) and the
 	// matching run: its context, work budget, keyed pre-pass and
 	// fingerprint pruning. A nil Compare selects the word-LCS comparer,
-	// run on interned word IDs; a custom Compare sees the value strings.
+	// decided from hashed word-bag signatures and, for the few pairs they
+	// leave open, on interned word IDs; a custom Compare sees the value
+	// strings.
 	MatchOptions = match.Options
 	// MatchStats carries the §8 work counters: LeafCompares/
 	// PartnerChecks are r1/r2 of Figure 13(b). The matcher keeps no
